@@ -16,24 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import (
-    BlochParams,
-    build_state,
-    check_density_matrix,
-    entropic_h,
-    hermitian_eigen,
-    _xlog2,
-)
+from .density import BlochParams, check_density_matrix, _xlog2
 from .discord import (
-    METHOD_NUMERIC,
     DiscordReport,
-    _discord_cfg,
     discord_numeric,
     discord_s0_planar,
+    mutual_information,
 )
 from .errors import DomainError, RangeError
-from .measurement import damped_correlation_objective
-from .sphereopt import SphereOptConfig, maximize_on_sphere
+from .sphereopt import SphereOptConfig
 
 
 @dataclass(frozen=True)
@@ -91,26 +82,10 @@ def damp_bloch(params: BlochParams, channel: PhaseDamping) -> BlochParams:
     return BlochParams(params.r * scale_v, params.s * scale_v, params.c * scale_c)
 
 
-def _damped_marginal_norms(params: BlochParams, gamma: float) -> tuple[float, float]:
-    r, s = params.r, params.s
-    rn = np.sqrt(max(float(r @ r) - gamma * (r[0] ** 2 + r[1] ** 2), 0.0))
-    sn = np.sqrt(max(float(s @ s) - gamma * (s[0] ** 2 + s[1] ** 2), 0.0))
-    return rn, sn
-
-
 def damped_mutual_information(params: BlochParams, channel: PhaseDamping) -> float:
-    """Mutual information of the damped state via the expanded form
-
-        I = 2 - H_0(sqrt(|r|^2 - g r1^2 - g r2^2))
-              - H_0(sqrt(|s|^2 - g s1^2 - g s2^2)) + sum_i L_i log2 L_i
-
-    with L_i the damped eigenvalues.  Matches the definitional
-    entropy-based value on the damped parameters within 1e-10.
-    """
-    rn, sn = _damped_marginal_norms(params, channel.gamma)
-    lam = hermitian_eigen(build_state(damp_bloch(params, channel))).eigenvalues
-    lam = np.clip(lam, 0.0, None)
-    return float(2.0 - entropic_h(0.0, rn) - entropic_h(0.0, sn) + np.sum(_xlog2(lam)))
+    """Mutual information of the damped state:
+    ``mutual_information(damp_bloch(params, channel))``."""
+    return mutual_information(damp_bloch(params, channel))
 
 
 def damped_discord(
@@ -118,30 +93,13 @@ def damped_discord(
     channel: PhaseDamping,
     cfg: SphereOptConfig | None = None,
 ) -> DiscordReport:
-    """Discord of the damped state, computed from the undamped parameters
-    through the damped correlation objective.
+    """Discord of the damped state: ``discord_numeric`` on the
+    parameter-route damped state ``damp_bloch(params, channel)``.
 
-    Equals ``discord_numeric(damp_bloch(params, channel))`` within 1e-10;
-    the two paths share no damping code, so their agreement cross-checks
-    both.
+    At gamma = 0 the rescale is the identity, so the report equals
+    ``discord_numeric(params, cfg)`` exactly.
     """
-    gamma = channel.gamma
-    eff = _discord_cfg(cfg)
-    res = maximize_on_sphere(
-        lambda z: damped_correlation_objective(params, gamma, z), eff
-    )
-    rn, _ = _damped_marginal_norms(params, gamma)
-    mutual = damped_mutual_information(params, channel)
-    classical = -entropic_h(0.0, rn) + res.value
-    spectrum = hermitian_eigen(build_state(damp_bloch(params, channel))).eigenvalues
-    return DiscordReport(
-        mutual_info=mutual,
-        classical_corr=classical,
-        discord=mutual - classical,
-        argmax_axis=res.axis,
-        spectrum=spectrum,
-        method=METHOD_NUMERIC,
-    )
+    return discord_numeric(damp_bloch(params, channel), cfg)
 
 
 def werner_damped_gap(c: float, gamma: float) -> float:

@@ -11,8 +11,7 @@ spectrum  eigenvalues and eigenvectors as JSON
 States enter either as ``--r x,y,z --s x,y,z --c x,y,z`` or as
 ``--state file.json`` (keys r, s, c and optional label); explicit flags
 win over the file.  Exit codes: 0 success, 1 unphysical state, 2 usage or
-parse error, 3 verification failure.  ``DISCORD_KIT_THREADS`` caps worker
-parallelism inside the optimizer (0 = one worker per CPU).
+parse error, 3 verification failure.
 """
 
 from __future__ import annotations

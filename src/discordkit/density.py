@@ -117,6 +117,17 @@ def build_state(params: BlochParams) -> np.ndarray:
         If the smallest eigenvalue is below -1e-9, i.e. the parameters do
         not describe a physical state.
     """
+    return _gated_state(params)[0]
+
+
+def _gated_state(params: BlochParams) -> tuple[np.ndarray, np.ndarray]:
+    """The state and its descending eigenvalues from one Jacobi run, after
+    the PSD gate of :func:`build_state`.
+
+    The eigenvalues equal ``hermitian_eigen(rho).eigenvalues`` bit for bit:
+    both sort the same decomposition, and exact ties only reorder equal
+    values.
+    """
     rho = np.kron(IDENTITY2, IDENTITY2).astype(complex)
     for i in range(3):
         rho += params.r[i] * np.kron(PAULI[i], IDENTITY2)
@@ -124,12 +135,12 @@ def build_state(params: BlochParams) -> np.ndarray:
         rho += params.c[i] * np.kron(PAULI[i], PAULI[i])
     rho *= 0.25
     rho = 0.5 * (rho + rho.conj().T)
-    smallest = float(_jacobi_eigenvalues(rho).min())
-    if smallest < EIGENVALUE_FLOOR:
+    lam = np.sort(_jacobi_eigenvalues(rho))[::-1].copy()
+    if lam[-1] < EIGENVALUE_FLOOR:
         raise PhysicalityError(
-            f"parameters give smallest eigenvalue {smallest:.3e} < {EIGENVALUE_FLOOR}"
+            f"parameters give smallest eigenvalue {lam[-1]:.3e} < {EIGENVALUE_FLOOR}"
         )
-    return rho
+    return rho, lam
 
 
 def extract_bloch(rho: np.ndarray) -> BlochParams:

@@ -21,12 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import (
+    EIGENVALUE_FLOOR,
     BlochParams,
-    build_state,
     entropic_h,
-    hermitian_eigen,
-    partial_trace,
-    von_neumann_entropy,
+    _gated_state,
     _xlog2,
 )
 from .errors import DomainError, FamilyError
@@ -43,7 +41,6 @@ METHOD_AXIAL_FORMULA = "axial-formula"
 METHOD_S0_PLANAR = "s0-planar"
 
 _FAMILY_TOL = 1e-12
-_EIG_FLOOR = -1e-9
 # PSD bound of the c = |r| sub-family: (1-c)^2 >= 5 c^2.
 C_EQ_R_MAX = 1.0 / (1.0 + np.sqrt(5.0))
 
@@ -109,7 +106,7 @@ def reduced_correlation_objective(theta, r_norm: float, c: float):
 
 def _check_eigenvalues(lam, label: str) -> None:
     smallest = float(np.min(lam))
-    if smallest < _EIG_FLOOR:
+    if smallest < EIGENVALUE_FLOOR:
         raise DomainError(
             f"parameters leave the {label} family (eigenvalue {smallest:.3e})"
         )
@@ -153,10 +150,10 @@ def werner_discord(c: float) -> float:
 
         Q = [(1-3c) log2(1-3c) - 2(1-c) log2(1-c) + (1+c) log2(1+c)] / 4
 
-    valid on the PSD range c in [-1, 1/3].
+    valid on the PSD range c in [-1, 1/3] (eigenvalues (1+c)/4, three
+    times, and (1-3c)/4).
     """
-    if not -1.0 - _FAMILY_TOL <= c <= 1.0 / 3.0 + _FAMILY_TOL:
-        raise DomainError(f"Werner parameter c = {c!r} outside [-1, 1/3]")
+    _check_eigenvalues(0.25 * np.array([1.0 + c, 1.0 - 3.0 * c]), "Werner")
     return 0.25 * float(
         _xlog2(np.array(1.0 - 3.0 * c))
         - 2.0 * _xlog2(np.array(1.0 - c))
@@ -172,9 +169,13 @@ def discord_s0_isotropic_c_eq_r(c: float) -> float:
 
     PSD restricts this slice to 0 < c <= 1/(1+sqrt5).
     """
-    if not 0.0 < c <= C_EQ_R_MAX + _FAMILY_TOL:
+    if not c > 0.0:
         raise DomainError(f"c = {c!r} outside (0, 1/(1+sqrt5)] for the c=|r| slice")
     root5 = np.sqrt(5.0)
+    _check_eigenvalues(
+        0.25 * np.array([1.0 + 2.0 * c, 1.0, 1.0 - c + root5 * c, 1.0 - c - root5 * c]),
+        "c=|r|",
+    )
     return 0.25 * float(
         _xlog2(np.array(1.0 - c + root5 * c))
         + _xlog2(np.array(1.0 - c - root5 * c))
@@ -258,24 +259,7 @@ def discord_s0_planar(r, c: float) -> float:
     )
 
 
-def mutual_information(params: BlochParams) -> float:
-    """Quantum mutual information I = S(rho_a) + S(rho_b) - S(rho), bits."""
-    rho = build_state(params)
-    return (
-        von_neumann_entropy(partial_trace(rho, "a"))
-        + von_neumann_entropy(partial_trace(rho, "b"))
-        - von_neumann_entropy(rho)
-    )
-
-
-def mutual_information_expanded(params: BlochParams) -> float:
-    """Mutual information through the expanded marginal-entropy form:
-
-        I = 2 - H_0(|r|) - H_0(|s|) + sum_i lambda_i log2 lambda_i
-
-    Agrees with :func:`mutual_information` within 1e-10 on physical states.
-    """
-    lam = hermitian_eigen(build_state(params)).eigenvalues
+def _mutual_information(params: BlochParams, lam: np.ndarray) -> float:
     lam = np.clip(lam, 0.0, None)
     return float(
         2.0
@@ -283,6 +267,21 @@ def mutual_information_expanded(params: BlochParams) -> float:
         - entropic_h(0.0, params.s_norm)
         + np.sum(_xlog2(lam))
     )
+
+
+def mutual_information(params: BlochParams) -> float:
+    """Quantum mutual information I = S(rho_a) + S(rho_b) - S(rho), bits,
+    through the expanded marginal-entropy form
+
+        I = 2 - H_0(|r|) - H_0(|s|) + sum_i lambda_i log2 lambda_i
+
+    (a qubit with Bloch vector v has entropy 1 - H_0(|v|)), on the gated
+    spectrum of the state.
+    """
+    return _mutual_information(params, _gated_state(params)[1])
+
+
+mutual_information_expanded = mutual_information
 
 
 def _discord_cfg(cfg: SphereOptConfig | None) -> SphereOptConfig:
@@ -313,9 +312,9 @@ def discord_numeric(
     params: BlochParams, cfg: SphereOptConfig | None = None
 ) -> DiscordReport:
     """Discord by direct optimization; the oracle for every closed form."""
-    mutual = mutual_information(params)
+    spectrum = _gated_state(params)[1]
+    mutual = _mutual_information(params, spectrum)
     classical, axis = classical_correlation_numeric(params, cfg)
-    spectrum = hermitian_eigen(build_state(params)).eigenvalues
     return DiscordReport(
         mutual_info=mutual,
         classical_corr=classical,
@@ -369,8 +368,8 @@ def discord_auto(
 ) -> DiscordReport:
     """Discord through the closed form whose family preconditions match,
     falling back to the numeric path; the method tag names the route."""
-    mutual = mutual_information(params)  # gates physicality first
-    spectrum = hermitian_eigen(build_state(params)).eigenvalues
+    spectrum = _gated_state(params)[1]  # gates physicality first
+    mutual = _mutual_information(params, spectrum)
     hit = _analytic_dispatch(params)
     if hit is None:
         classical, axis = classical_correlation_numeric(params, cfg)

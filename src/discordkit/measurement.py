@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import BlochParams, entropic_h, qubit_state, von_neumann_entropy
-from .errors import DegenerateBranchError, NormError, RangeError
+from .errors import DegenerateBranchError, NormError
 
 _BRANCH_FLOOR = 1e-12
 _QUAT_NORM_TOL = 1e-9
@@ -162,34 +162,11 @@ def damped_correlation_objective(params: BlochParams, gamma: float, axis):
     """Correlation objective of the phase-damped state, evaluated from the
     undamped parameters.
 
-    With f = sqrt(1-gamma):
-
-        eps_+ = f (s1 z1 + s2 z2) + s3 z3,   eps_- = -eps_+
-        d_+-  = sqrt( (1-gamma) [ (r1 +- f c1 z1)^2 + (r2 +- f c2 z2)^2 ]
-                      + (r3 +- c3 z3)^2 )
-        G~(z) = -H_0(eps_+) + H_{eps_+}(d_+)/2 + H_{eps_-}(d_-)/2
-
-    At gamma = 0 this coincides with :func:`correlation_objective`.
+    Equals :func:`correlation_objective` on the parameter-route damped
+    state ``damp_bloch(params, PhaseDamping(gamma))``; gamma outside
+    [0, 1] raises ``RangeError``.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise RangeError(f"gamma = {gamma!r} outside [0, 1]")
-    z, single = _axes_2d(axis)
-    f = np.sqrt(1.0 - gamma)
-    r, s, c = params.r, params.s, params.c
-    eps = f * (s[0] * z[:, 0] + s[1] * z[:, 1]) + s[2] * z[:, 2]
-    d_plus = np.sqrt(
-        (1.0 - gamma)
-        * ((r[0] + f * c[0] * z[:, 0]) ** 2 + (r[1] + f * c[1] * z[:, 1]) ** 2)
-        + (r[2] + c[2] * z[:, 2]) ** 2
-    )
-    d_minus = np.sqrt(
-        (1.0 - gamma)
-        * ((r[0] - f * c[0] * z[:, 0]) ** 2 + (r[1] - f * c[1] * z[:, 1]) ** 2)
-        + (r[2] - c[2] * z[:, 2]) ** 2
-    )
-    g = (
-        -entropic_h(0.0, eps)
-        + 0.5 * entropic_h(eps, d_plus)
-        + 0.5 * entropic_h(-eps, d_minus)
-    )
-    return float(g[0]) if single else g
+    # channels imports this module, so its names are looked up at call time
+    from .channels import PhaseDamping, damp_bloch
+
+    return correlation_objective(damp_bloch(params, PhaseDamping(gamma)), axis)

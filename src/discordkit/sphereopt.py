@@ -5,22 +5,17 @@ The strategy is a dense Fibonacci-lattice pass followed by shrinking
 spherical-cap grids around the incumbent: derivative-free, monotone in the
 incumbent value and bit-reproducible for a fixed configuration.  Objectives
 are evaluated in batches (an (n, 3) array of unit rows yields n values),
-which keeps the inner loop vectorized; batches may additionally be split
-across worker threads via the ``DISCORD_KIT_THREADS`` environment variable
-(0 = one worker per CPU) without changing the result.
+which keeps the inner loop vectorized.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIE_EPS = 1e-14
-_MIN_PARALLEL_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -78,28 +73,8 @@ def fibonacci_grid(n: int, full_sphere: bool = False) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z3], axis=1)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DISCORD_KIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    workers = _worker_count()
-    if workers > 1 and len(points) >= _MIN_PARALLEL_BATCH:
-        chunks = np.array_split(points, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(f, chunks))
-        values = np.concatenate([np.asarray(p, dtype=float).reshape(-1) for p in parts])
-    else:
-        values = np.asarray(f(points), dtype=float).reshape(-1)
+    values = np.asarray(f(points), dtype=float).reshape(-1)
     if values.shape != (len(points),):
         raise ValueError(
             f"objective returned {values.shape} values for {len(points)} points"

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's Jacobi eigensolver and
 sphere optimizer: spectra come from numpy.linalg, sphere maxima from a
 dense Fibonacci scan polished with scipy.  Frozen regression constants in
-the test modules were produced by these routines.
+the test modules were produced by these routines.  The phase-damped
+objective and mutual information are written out by hand from the
+undamped parameters, independently of the package's parameter rescale.
 """
 
 from __future__ import annotations
@@ -26,9 +28,25 @@ def _xlog2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy2(rho2: np.ndarray) -> float:
-    lam = np.clip(np.linalg.eigvalsh(rho2), 0.0, None)
+def _entropy(rho: np.ndarray) -> float:
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     return float(-np.sum(_xlog2(lam)))
+
+
+def _entropic_h(eps, x):
+    """H_eps(x) = [(1+eps+x) log2(1+eps+x) + (1+eps-x) log2(1+eps-x)] / 2."""
+    eps, x = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(x, dtype=float))
+    out = 0.5 * (_xlog2(1.0 + eps + x) + _xlog2(1.0 + eps - x))
+    return float(out) if out.ndim == 0 else out
+
+
+def mutual_information_reference(params: BlochParams) -> float:
+    """S(rho_a) + S(rho_b) - S(rho) from numpy spectra of the three states."""
+    rho = build_state(params)
+    rho_r = rho.reshape(2, 2, 2, 2)
+    rho_a = np.einsum("ikjk->ij", rho_r)
+    rho_b = np.einsum("kikj->ij", rho_r)
+    return _entropy(rho_a) + _entropy(rho_b) - _entropy(rho)
 
 
 def conditional_entropy_reference(params: BlochParams, axis: np.ndarray) -> float:
@@ -44,7 +62,7 @@ def conditional_entropy_reference(params: BlochParams, axis: np.ndarray) -> floa
             continue
         v = (params.r + sign * params.c * axis) / (2.0 * p)
         rho_k = 0.5 * (np.eye(2, dtype=complex) + v[0] * sx + v[1] * sy + v[2] * sz)
-        total += p * _entropy2(rho_k)
+        total += p * _entropy(rho_k)
     return total
 
 
@@ -93,12 +111,79 @@ def max_correlation_reference(
 
 def discord_reference(params: BlochParams) -> float:
     """Discord from numpy entropies and the reference maximizer."""
+    rho_a = np.einsum("ikjk->ij", build_state(params).reshape(2, 2, 2, 2))
+    classical = _entropy(rho_a) - (1.0 - max_correlation_reference(params))
+    return mutual_information_reference(params) - classical
+
+
+def _damped_marginal_norms(params: BlochParams, gamma: float) -> tuple[float, float]:
+    r, s = params.r, params.s
+    rn = np.sqrt(max(float(r @ r) - gamma * (r[0] ** 2 + r[1] ** 2), 0.0))
+    sn = np.sqrt(max(float(s @ s) - gamma * (s[0] ** 2 + s[1] ** 2), 0.0))
+    return rn, sn
+
+
+def damped_objective_reference(params: BlochParams, gamma: float, axis):
+    """Correlation objective of the phase-damped state, expanded from the
+    undamped parameters.  With f = sqrt(1-gamma):
+
+        eps_+ = f (s1 z1 + s2 z2) + s3 z3,   eps_- = -eps_+
+        d_+-  = sqrt( (1-gamma) [ (r1 +- f c1 z1)^2 + (r2 +- f c2 z2)^2 ]
+                      + (r3 +- c3 z3)^2 )
+        G~(z) = -H_0(eps_+) + H_{eps_+}(d_+)/2 + H_{eps_-}(d_-)/2
+    """
+    z = np.atleast_2d(np.asarray(axis, dtype=float))
+    f = np.sqrt(1.0 - gamma)
+    r, s, c = params.r, params.s, params.c
+    eps = f * (s[0] * z[:, 0] + s[1] * z[:, 1]) + s[2] * z[:, 2]
+    d_plus = np.sqrt(
+        (1.0 - gamma)
+        * ((r[0] + f * c[0] * z[:, 0]) ** 2 + (r[1] + f * c[1] * z[:, 1]) ** 2)
+        + (r[2] + c[2] * z[:, 2]) ** 2
+    )
+    d_minus = np.sqrt(
+        (1.0 - gamma)
+        * ((r[0] - f * c[0] * z[:, 0]) ** 2 + (r[1] - f * c[1] * z[:, 1]) ** 2)
+        + (r[2] - c[2] * z[:, 2]) ** 2
+    )
+    g = (
+        -_entropic_h(0.0, eps)
+        + 0.5 * _entropic_h(eps, d_plus)
+        + 0.5 * _entropic_h(-eps, d_minus)
+    )
+    return g if np.ndim(axis) == 2 else float(g[0])
+
+
+def _kraus_damped_state(params: BlochParams, gamma: float) -> np.ndarray:
+    k1 = np.diag([1.0, np.sqrt(1.0 - gamma)])
+    k2 = np.diag([0.0, np.sqrt(gamma)])
     rho = build_state(params)
-    rho_r = rho.reshape(2, 2, 2, 2)
-    rho_a = np.einsum("ikjk->ij", rho_r)
-    rho_b = np.einsum("kikj->ij", rho_r)
-    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    mutual = _entropy2(rho_a) + _entropy2(rho_b) + float(np.sum(_xlog2(lam)))
-    s_a = _entropy2(rho_a)
-    classical = s_a - (1.0 - max_correlation_reference(params))
-    return mutual - classical
+    out = np.zeros((4, 4), dtype=complex)
+    for ki in (k1, k2):
+        for kj in (k1, k2):
+            big = np.kron(ki, kj)
+            out += big @ rho @ big.conj().T
+    return out
+
+
+def damped_mutual_information_reference(params: BlochParams, gamma: float) -> float:
+    """Mutual information of the phase-damped state in the expanded form
+
+        I = 2 - H_0(sqrt(|r|^2 - g r1^2 - g r2^2))
+              - H_0(sqrt(|s|^2 - g s1^2 - g s2^2)) + sum_i L_i log2 L_i
+
+    with L_i the numpy spectrum of the Kraus-damped matrix."""
+    rn, sn = _damped_marginal_norms(params, gamma)
+    lam = np.clip(np.linalg.eigvalsh(_kraus_damped_state(params, gamma)), 0.0, None)
+    return float(
+        2.0 - _entropic_h(0.0, rn) - _entropic_h(0.0, sn) + np.sum(_xlog2(lam))
+    )
+
+
+def damped_discord_reference(params: BlochParams, gamma: float, maximize) -> float:
+    """Discord of the phase-damped state from the expanded damped formulas;
+    ``maximize(f)`` returns the sphere maximum of a batch objective ``f``."""
+    rn, _ = _damped_marginal_norms(params, gamma)
+    g_max = maximize(lambda z: damped_objective_reference(params, gamma, z))
+    classical = g_max - _entropic_h(0.0, rn)
+    return damped_mutual_information_reference(params, gamma) - classical

@@ -1,12 +1,8 @@
 """Shared fixtures and the acceptance-criterion summary printer."""
 
 import re
-import sys
-from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from discordkit import BlochParams
 

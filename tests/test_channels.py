@@ -1,14 +1,18 @@
 """Tests for the phase-damping channel, dual damping routes and the
 closed-form damping gaps."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from discordkit import (
     BlochParams,
+    DiscordReport,
     DomainError,
     PhaseDamping,
     RangeError,
+    SphereOptConfig,
     apply_kraus,
     build_state,
     damp_bloch,
@@ -17,14 +21,18 @@ from discordkit import (
     discord_numeric,
     gamma_sweep,
     kraus_pair,
-    mutual_information,
+    maximize_on_sphere,
     planar_damped_gap,
     werner_damped_gap,
     werner_damped_gap_dgamma,
 )
 from discordkit.sampling import draw_axial_zero, draw_general_batch, draw_s0_planar
 
-from _oracles import eigh_spectrum
+from _oracles import (
+    damped_discord_reference,
+    damped_mutual_information_reference,
+    eigh_spectrum,
+)
 
 # frozen from the independent reference implementation in _oracles.py
 PLANAR_GAP_G02 = 0.02974908655942432
@@ -111,27 +119,37 @@ def test_damp_bloch_half_rate_scaling():
 
 
 def test_damped_discord_gamma_zero(ref_state_b):
-    direct = discord_numeric(ref_state_b).discord
-    assert damped_discord(ref_state_b, PhaseDamping(0.0)).discord == pytest.approx(
-        direct, abs=1e-10
-    )
+    rng = np.random.default_rng(207)
+    for params in [ref_state_b] + draw_general_batch(rng, 3):
+        damped = damped_discord(params, PhaseDamping(0.0))
+        direct = discord_numeric(params)
+        for field in fields(DiscordReport):
+            assert np.array_equal(
+                getattr(damped, field.name), getattr(direct, field.name)
+            ), field.name
 
 
 def test_damped_discord_matches_damped_parameters():
+    """damped_discord against the oracle's expanded damped objective and
+    mutual information, maximized by the same sphere search."""
+    cfg = SphereOptConfig(hemisphere=True)
     rng = np.random.default_rng(211)
     for params in draw_general_batch(rng, 10):
-        channel = PhaseDamping(rng.uniform(0, 1))
-        via_objective = damped_discord(params, channel).discord
-        via_params = discord_numeric(damp_bloch(params, channel)).discord
-        assert via_objective == pytest.approx(via_params, abs=1e-10)
+        gamma = rng.uniform(0, 1)
+        expected = damped_discord_reference(
+            params, gamma, lambda f: maximize_on_sphere(f, cfg).value
+        )
+        assert damped_discord(params, PhaseDamping(gamma)).discord == pytest.approx(
+            expected, abs=1e-10
+        )
 
 
 def test_damped_mutual_information_expanded_form():
     rng = np.random.default_rng(223)
     for params in draw_general_batch(rng, 25):
-        channel = PhaseDamping(rng.uniform(0, 1))
-        assert damped_mutual_information(params, channel) == pytest.approx(
-            mutual_information(damp_bloch(params, channel)), abs=1e-10
+        gamma = rng.uniform(0, 1)
+        assert damped_mutual_information(params, PhaseDamping(gamma)) == pytest.approx(
+            damped_mutual_information_reference(params, gamma), abs=1e-10
         )
 
 
@@ -223,8 +241,8 @@ def test_gamma_sweep_single_point(ref_state_b):
     assert len(rows) == 1
     gamma, q_damped, gap = rows[0]
     assert gamma == 0.0
-    assert gap == pytest.approx(0.0, abs=1e-10)
-    assert q_damped == pytest.approx(discord_numeric(ref_state_b).discord, abs=1e-10)
+    assert gap == 0.0
+    assert q_damped == discord_numeric(ref_state_b).discord
 
 
 def test_gamma_sweep_werner_monotone():

@@ -117,6 +117,17 @@ def test_compute_unphysical_exits_1(capsys):
     assert "unphysical" in err
 
 
+def test_compute_werner_just_past_bound_exits_0(capsys):
+    """c = 1/3 + 1e-10 passes the PSD gate, so the Werner route answers."""
+    c = "0.3333333334333333"
+    code, out, _ = run_cli(capsys, "compute", "--r=0,0,0", "--s=0,0,0",
+                           f"--c={c},{c},{c}")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "werner"
+    assert payload["discord"] == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+
 def test_curve_uniform_c_shape(capsys):
     code, out, _ = run_cli(capsys, "curve", *REF_A_FLAGS, "--samples", "101")
     assert code == 0

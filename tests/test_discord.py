@@ -8,9 +8,12 @@ from discordkit import (
     BlochParams,
     DomainError,
     FamilyError,
+    PhaseDamping,
+    SphereOptConfig,
     build_state,
     classical_correlation_numeric,
     correlation_objective,
+    damped_discord,
     discord_auto,
     discord_axial,
     discord_numeric,
@@ -37,6 +40,8 @@ from discordkit import (
     METHOD_S0_PLANAR,
     METHOD_WERNER,
 )
+from discordkit import density
+from discordkit.discord import C_EQ_R_MAX
 from discordkit.measurement import conditional_entropy
 from discordkit.sampling import (
     draw_axial_zero,
@@ -46,7 +51,7 @@ from discordkit.sampling import (
     draw_s0_planar,
 )
 
-from _oracles import discord_reference
+from _oracles import discord_reference, mutual_information_reference
 
 SINGLET = BlochParams([0, 0, 0], [0, 0, 0], [-1, -1, -1])
 
@@ -102,10 +107,11 @@ def test_mutual_information_reference(ref_state_a, ref_state_b):
 
 
 def test_mutual_information_expanded_agrees():
+    """The expanded form against S(rho_a) + S(rho_b) - S(rho) from numpy."""
     rng = np.random.default_rng(113)
     for params in draw_general_batch(rng, 100):
-        assert mutual_information(params) == pytest.approx(
-            mutual_information_expanded(params), abs=1e-10
+        assert mutual_information_expanded(params) == pytest.approx(
+            mutual_information_reference(params), abs=1e-10
         )
 
 
@@ -429,12 +435,49 @@ def test_numeric_against_independent_reference():
         (BlochParams([0.3, 0, 0.2], [0, 0, 0], [0, 0, 0.4]), METHOD_AXIAL_ZERO),
         (BlochParams([0.1, 0.2, 0], [0, 0, 0], [0.3, 0.3, 0]), METHOD_S0_PLANAR),
         (BlochParams([0, 0, 0], [0.1, 0.2, 0.2], [0.1, 0.2, 0.3]), METHOD_NUMERIC),
+    ]
+    # Just past the Werner and c = |r| PSD bounds: the smallest eigenvalue
+    # stays above -1e-9, so the gate accepts these states.
+    + [
+        (BlochParams([0, 0, 0], [0, 0, 0], [c, c, c]), METHOD_WERNER)
+        for c in (1 / 3 + 1e-11, 1 / 3 + 1e-10, 1 / 3 + 1e-9)
+    ]
+    + [
+        (BlochParams([0, 0, k], [0, 0, 0], [k, k, k]), METHOD_S0_ISOTROPIC_C_EQ_R)
+        for k in (C_EQ_R_MAX + 1e-11, C_EQ_R_MAX + 1e-10, C_EQ_R_MAX + 1e-9)
     ],
 )
 def test_auto_dispatch_tags_and_values(params, method):
     rep = discord_auto(params)
     assert rep.method == method
     assert rep.discord == pytest.approx(discord_numeric(params).discord, abs=1e-6)
+
+
+_SMALL_CFG = SphereOptConfig(grid_points=50, refine_rounds=2, local_points=8)
+_GENERAL = BlochParams([0.1, 0, 0.2], [0.1, 0.2, 0.2], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: discord_numeric(_GENERAL, _SMALL_CFG),
+        lambda: discord_auto(BlochParams([0, 0, 0.3], [0, 0, 0], [0.2, 0.2, 0.2])),
+        lambda: discord_auto(_GENERAL, _SMALL_CFG),
+        lambda: damped_discord(_GENERAL, PhaseDamping(0.4), _SMALL_CFG),
+    ],
+    ids=["numeric", "auto-closed-form", "auto-general", "damped"],
+)
+def test_one_spectrum_per_state(monkeypatch, route):
+    shapes = []
+    decompose = density._jacobi_decompose
+
+    def counting(rho, max_sweeps):
+        shapes.append(np.shape(rho))
+        return decompose(rho, max_sweeps)
+
+    monkeypatch.setattr(density, "_jacobi_decompose", counting)
+    route()
+    assert shapes == [(4, 4)]
 
 
 def test_auto_report_reconstructs_classical_corr(ref_state_b):

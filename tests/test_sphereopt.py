@@ -117,15 +117,3 @@ def test_result_type_and_count():
     assert isinstance(res, OptResult)
     assert res.evaluations == 100 + 3 * 16
 
-
-def test_thread_env_does_not_change_result(monkeypatch):
-    m = np.diag([0.5, 0.2, -0.3])
-
-    def f(z):
-        return np.einsum("ni,ij,nj->n", z, m, z)
-
-    base = maximize_on_sphere(f)
-    monkeypatch.setenv("DISCORD_KIT_THREADS", "4")
-    threaded = maximize_on_sphere(f)
-    assert threaded.value == base.value
-    assert np.array_equal(threaded.axis, base.axis)
