@@ -19,7 +19,9 @@ import numpy as np
 from .density import BlochParams, check_density_matrix, _xlog2
 from .discord import (
     DiscordReport,
+    _check_eigenvalues,
     discord_numeric,
+    discord_numeric_batch,
     discord_s0_planar,
     mutual_information,
 )
@@ -111,8 +113,7 @@ def werner_damped_gap(c: float, gamma: float) -> float:
 
     Nonnegative, zero at gamma = 0 and nondecreasing in gamma.
     """
-    if not -1.0 - 1e-12 <= c <= 1.0 / 3.0 + 1e-12:
-        raise DomainError(f"Werner parameter c = {c!r} outside [-1, 1/3]")
+    _check_eigenvalues(0.25 * np.array([1.0 + c, 1.0 - 3.0 * c]), "Werner")
     g = PhaseDamping(gamma).gamma
     terms = np.array(
         [1.0 + c, 1.0 - 3.0 * c, 1.0 - 3.0 * c + 2.0 * c * g, 1.0 + c - 2.0 * c * g]
@@ -126,8 +127,7 @@ def werner_damped_gap_dgamma(c: float, gamma: float) -> float:
 
         dT/dgamma = (c/2) log2( (1+c-2cg) / (1-3c+2cg) )
     """
-    if not -1.0 - 1e-12 <= c <= 1.0 / 3.0 + 1e-12:
-        raise DomainError(f"Werner parameter c = {c!r} outside [-1, 1/3]")
+    _check_eigenvalues(0.25 * np.array([1.0 + c, 1.0 - 3.0 * c]), "Werner")
     g = PhaseDamping(gamma).gamma
     num = 1.0 + c - 2.0 * c * g
     den = 1.0 - 3.0 * c + 2.0 * c * g
@@ -168,7 +168,11 @@ def gamma_sweep(
     """Damped discord and damping gap on a grid of rates.
 
     ``gammas`` must be strictly increasing inside [0, 1].  Returns
-    (gamma, Q_damped, Q_gap) rows where Q_gap = Q(rho) - Q(rho~).
+    (gamma, Q_damped, Q_gap) rows where Q_gap = Q(rho) - Q(rho~).  The
+    state and its ``damp_bloch`` images at every gamma go through one
+    :func:`discord_numeric_batch` call, so each row equals
+    ``damped_discord(params, PhaseDamping(gamma), cfg)`` exactly while the
+    sphere searches run in lockstep.
     """
     grid = np.asarray(gammas, dtype=float).reshape(-1)
     if grid.size == 0:
@@ -177,9 +181,6 @@ def gamma_sweep(
         raise RangeError("gamma grid must lie inside [0, 1]")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise RangeError("gamma grid must be strictly increasing")
-    q0 = discord_numeric(params, cfg).discord
-    rows = []
-    for g in grid:
-        qd = damped_discord(params, PhaseDamping(float(g)), cfg).discord
-        rows.append((float(g), qd, q0 - qd))
-    return rows
+    states = [params] + [damp_bloch(params, PhaseDamping(float(g))) for g in grid]
+    q0, *damped = (report.discord for report in discord_numeric_batch(states, cfg))
+    return [(float(g), qd, q0 - qd) for g, qd in zip(grid, damped)]

@@ -34,6 +34,7 @@ from .discord import (
     discord_auto,
     discord_axial,
     discord_numeric,
+    discord_numeric_batch,
     discord_r0_isotropic,
     discord_s0_isotropic,
     discord_s0_planar,
@@ -254,32 +255,40 @@ _VERIFY_FAMILIES = (
 
 def _verify_family(name: str, rng, draws: int, cfg) -> tuple[float, int]:
     """Worst |analytic - numeric| over seeded draws, and the number of
-    draws on which the closed form was undefined."""
-    worst = 0.0
+    draws on which the closed form was undefined.
+
+    All draws are taken first and the numeric oracle runs on them in one
+    batch; the generator is consumed exactly as by one draw at a time.
+    """
+    states = []
+    analytic = []
     undefined = 0
     for _ in range(draws):
         if name == METHOD_S0_ISOTROPIC:
             params = draw_s0_isotropic(rng)
-            analytic = discord_s0_isotropic(params.r_norm, params.c[2])
+            value = discord_s0_isotropic(params.r_norm, params.c[2])
         elif name == METHOD_R0_ISOTROPIC:
             params = draw_r0_isotropic(rng)
-            analytic = discord_r0_isotropic(params.s_norm, params.c[2])
+            value = discord_r0_isotropic(params.s_norm, params.c[2])
         elif name == METHOD_AXIAL_ZERO:
             params = draw_axial_zero(rng)
-            analytic = 0.0
+            value = 0.0
         elif name == METHOD_S0_PLANAR:
             params = draw_s0_planar(rng)
-            analytic = discord_s0_planar(params.r, params.c[0])
+            value = discord_s0_planar(params.r, params.c[0])
         else:  # broken reference formula for the r=0 axial branch
             params = draw_r0_isotropic(rng)
             params = BlochParams(params.r, params.s, [0.0, 0.0, params.c[2]])
             try:
-                analytic = discord_axial(params, use_reference_formula=True)
+                value = discord_axial(params, use_reference_formula=True)
             except DomainError:
                 undefined += 1
                 continue
-        numeric = discord_numeric(params, cfg).discord
-        worst = max(worst, abs(analytic - numeric))
+        states.append(params)
+        analytic.append(value)
+    worst = 0.0
+    for value, report in zip(analytic, discord_numeric_batch(states, cfg)):
+        worst = max(worst, abs(value - report.discord))
     return worst, undefined
 
 

@@ -28,8 +28,8 @@ from .density import (
     _xlog2,
 )
 from .errors import DomainError, FamilyError
-from .measurement import correlation_objective
-from .sphereopt import OptResult, SphereOptConfig, maximize_on_sphere
+from .measurement import _correlation_kernel, correlation_objective
+from .sphereopt import OptResult, SphereOptConfig, maximize_batch, maximize_on_sphere
 
 METHOD_NUMERIC = "numeric"
 METHOD_S0_ISOTROPIC = "s0-isotropic"
@@ -41,6 +41,8 @@ METHOD_AXIAL_FORMULA = "axial-formula"
 METHOD_S0_PLANAR = "s0-planar"
 
 _FAMILY_TOL = 1e-12
+# States per lockstep search in discord_numeric_batch.
+_BATCH_BLOCK = 32
 # PSD bound of the c = |r| sub-family: (1-c)^2 >= 5 c^2.
 C_EQ_R_MAX = 1.0 / (1.0 + np.sqrt(5.0))
 
@@ -308,21 +310,50 @@ def classical_correlation_numeric(
     return -entropic_h(0.0, params.r_norm) + res.value, res.axis
 
 
+def _numeric_report(
+    params: BlochParams, spectrum: np.ndarray, res: OptResult
+) -> DiscordReport:
+    mutual = _mutual_information(params, spectrum)
+    classical = -entropic_h(0.0, params.r_norm) + res.value
+    return DiscordReport(
+        mutual_info=mutual,
+        classical_corr=classical,
+        discord=mutual - classical,
+        argmax_axis=res.axis,
+        spectrum=spectrum,
+        method=METHOD_NUMERIC,
+    )
+
+
 def discord_numeric(
     params: BlochParams, cfg: SphereOptConfig | None = None
 ) -> DiscordReport:
     """Discord by direct optimization; the oracle for every closed form."""
     spectrum = _gated_state(params)[1]
-    mutual = _mutual_information(params, spectrum)
-    classical, axis = classical_correlation_numeric(params, cfg)
-    return DiscordReport(
-        mutual_info=mutual,
-        classical_corr=classical,
-        discord=mutual - classical,
-        argmax_axis=axis,
-        spectrum=spectrum,
-        method=METHOD_NUMERIC,
-    )
+    return _numeric_report(params, spectrum, maximize_correlation_objective(params, cfg))
+
+
+def discord_numeric_batch(
+    params_seq, cfg: SphereOptConfig | None = None
+) -> list[DiscordReport]:
+    """``[discord_numeric(p, cfg) for p in params_seq]``, field for field,
+    with the sphere searches run in lockstep.
+
+    Every state passes the PSD gate before any search starts; the searches
+    then run in blocks of at most 32 states, one :func:`maximize_batch`
+    per block, which bounds the memory of the shared Fibonacci pass.
+    """
+    states = list(params_seq)
+    spectra = [_gated_state(p)[1] for p in states]
+    eff = _discord_cfg(cfg)
+    results: list[OptResult] = []
+    for start in range(0, len(states), _BATCH_BLOCK):
+        block = states[start : start + _BATCH_BLOCK]
+        r, s, c = (np.stack([getattr(p, k) for p in block]) for k in "rsc")
+        results += maximize_batch(
+            lambda z: _correlation_kernel(r, s, c, z), len(block), eff
+        )
+    return [_numeric_report(*row) for row in zip(states, spectra, results)]
 
 
 def _unit_or_z(v: np.ndarray) -> np.ndarray:

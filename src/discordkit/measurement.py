@@ -14,12 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import BlochParams, entropic_h, qubit_state, von_neumann_entropy
-from .errors import DegenerateBranchError, NormError
+from .density import (
+    EIGENVALUE_FLOOR,
+    LOG_CLAMP,
+    BlochParams,
+    qubit_state,
+    von_neumann_entropy,
+)
+from .errors import DegenerateBranchError, DomainError, NormError
 
 _BRANCH_FLOOR = 1e-12
 _QUAT_NORM_TOL = 1e-9
 _AXIS_NORM_TOL = 1e-9
+_LOG_ARG_FLOOR = 4.0 * EIGENVALUE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,41 @@ def _axes_2d(axis) -> tuple[np.ndarray, bool]:
     return z, False
 
 
+def _correlation_kernel(
+    r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Correlation objective of n states, stacked as (n, 3) rows of r, s
+    and c, on an (n, m, 3) array of unit axes; returns (n, m) values.
+
+    Every log argument 1 + eps +- x of the three entropic terms is four
+    times an eigenvalue of a 2x2 compression of the state, so on a state
+    that passed the PSD gate it is at least 4 * EIGENVALUE_FLOOR.  Log
+    arguments from that bound up to 1e-12 contribute zero (the
+    x log x -> 0 limit); anything lower raises ``DomainError``.
+    """
+    w = np.matmul(z, s[:, :, None])[..., 0]
+    x_plus = np.linalg.norm(r[:, None, :] + c[:, None, :] * z, axis=2)
+    x_minus = np.linalg.norm(r[:, None, :] - c[:, None, :] * z, axis=2)
+    t = np.empty((6,) + w.shape)
+    np.add(1.0, w, out=t[0])
+    np.subtract(1.0, w, out=t[1])
+    np.add(t[0], x_plus, out=t[2])
+    np.subtract(t[0], x_plus, out=t[3])
+    np.add(t[1], x_minus, out=t[4])
+    np.subtract(t[1], x_minus, out=t[5])
+    low = float(t.min())
+    if low < _LOG_ARG_FLOOR:
+        raise DomainError(f"log argument {low:.3e} below {_LOG_ARG_FLOOR}")
+    t[~(t >= LOG_CLAMP)] = 1.0  # 1 log 1 = 0
+    xlog = np.log2(t)
+    xlog *= t
+    return (
+        -(0.5 * (xlog[0] + xlog[1]))
+        + 0.5 * (0.5 * (xlog[2] + xlog[3]))
+        + 0.5 * (0.5 * (xlog[4] + xlog[5]))
+    )
+
+
 def correlation_objective(params: BlochParams, axis):
     """Objective whose sphere maximum gives the classical correlation.
 
@@ -147,14 +189,9 @@ def correlation_objective(params: BlochParams, axis):
     and G(-z) = G(z).
     """
     z, single = _axes_2d(axis)
-    w = z @ params.s
-    x_plus = np.linalg.norm(params.r[None, :] + params.c[None, :] * z, axis=1)
-    x_minus = np.linalg.norm(params.r[None, :] - params.c[None, :] * z, axis=1)
-    g = (
-        -entropic_h(0.0, w)
-        + 0.5 * entropic_h(w, x_plus)
-        + 0.5 * entropic_h(-w, x_minus)
-    )
+    g = _correlation_kernel(
+        params.r[None, :], params.s[None, :], params.c[None, :], z[None]
+    )[0]
     return float(g[0]) if single else g
 
 

@@ -3,9 +3,14 @@ sphere.
 
 The strategy is a dense Fibonacci-lattice pass followed by shrinking
 spherical-cap grids around the incumbent: derivative-free, monotone in the
-incumbent value and bit-reproducible for a fixed configuration.  Objectives
-are evaluated in batches (an (n, 3) array of unit rows yields n values),
-which keeps the inner loop vectorized.
+incumbent value and bit-reproducible for a fixed configuration.
+
+One engine, :func:`maximize_batch`, runs n such searches in lockstep: they
+share the Fibonacci pass, and each refine round builds all n cap grids at
+once and makes one objective call on an (n, m, 3) array, so the Python
+cost per round is paid once for the whole batch.  Every row's result is
+bit-identical to that of a search run alone; :func:`maximize_on_sphere`
+is the one-row case, with an objective on (m, 3) arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import numpy as np
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIE_EPS = 1e-14
+_NEXT = [1, 2, 0]
+_AFTER = [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -74,67 +81,126 @@ def fibonacci_grid(n: int, full_sphere: bool = False) -> np.ndarray:
 
 
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    values = np.asarray(f(points), dtype=float).reshape(-1)
-    if values.shape != (len(points),):
+    n, m = points.shape[:2]
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != (n, m):
         raise ValueError(
-            f"objective returned {values.shape} values for {len(points)} points"
+            f"objective returned shape {values.shape} for {n} x {m} points"
         )
     return values
 
 
-def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    return tuple(a) < tuple(b)
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise tuple comparison a < b of (n, 3) arrays."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return (a0 < b0) | ((a0 == b0) & ((a1 < b1) | ((a1 == b1) & (a2 < b2))))
 
 
-def _batch_best(points: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
-    vmax = float(values.max())
-    tied = np.nonzero(values >= vmax - _TIE_EPS)[0]
-    best = points[tied[0]]
-    for i in tied[1:]:
-        if _lex_smaller(points[i], best):
-            best = points[i]
-    return vmax, np.array(best, dtype=float)
+def _row_best(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the maximum value, and among the points within 1e-14 of it
+    the lexicographically smallest (the first of equal ones).
+
+    The candidates are narrowed one coordinate at a time to those holding
+    the row minimum, which costs O(m) per row where a sort would cost
+    O(m log m) on the wide Fibonacci pass.
+    """
+    vmax = values.max(axis=1)
+    chosen = values >= vmax[:, None] - _TIE_EPS
+    for k in range(3):
+        key = np.where(chosen, points[..., k], np.inf)
+        chosen = key == key.min(axis=1)[:, None]
+    return vmax, points[np.arange(len(points)), chosen.argmax(axis=1)]
 
 
 def _merge(best_value, best_axis, cand_value, cand_axis):
-    """Associative reduction: keep the running maximum value, and among
-    axes whose value ties it within 1e-14 the lexicographically smallest."""
-    if cand_value > best_value + _TIE_EPS:
-        return cand_value, cand_axis
-    if cand_value < best_value - _TIE_EPS:
-        return best_value, best_axis
-    axis = cand_axis if _lex_smaller(cand_axis, best_axis) else best_axis
-    return max(best_value, cand_value), axis
-
-
-def _tangent_basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pick = int(np.argmin(np.abs(u)))
-    helper = np.zeros(3)
-    helper[pick] = 1.0
-    e1 = np.cross(u, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    return e1, e2
-
-
-def _cap_grid(center: np.ndarray, radius: float, m: int, hemisphere: bool) -> np.ndarray:
-    """Fibonacci-spiral grid on the geodesic cap of ``radius`` around
-    ``center``; with the hemisphere restriction, spill-over points are
-    replaced by their antipodes."""
-    e1, e2 = _tangent_basis(center)
-    j = np.arange(m) + 0.5
-    dist = radius * np.sqrt(j / m)
-    ang = j * _GOLDEN_ANGLE
-    pts = (
-        np.cos(dist)[:, None] * center[None, :]
-        + np.sin(dist)[:, None]
-        * (np.cos(ang)[:, None] * e1[None, :] + np.sin(ang)[:, None] * e2[None, :])
+    """Associative reduction, row by row: keep the running maximum value,
+    and among axes whose value ties it within 1e-14 the lexicographically
+    smallest."""
+    up = cand_value > best_value + _TIE_EPS
+    tie = ~up & ~(cand_value < best_value - _TIE_EPS)
+    take_axis = up | (tie & _lex_less(cand_axis, best_axis))
+    value = np.where(
+        up | (tie & (cand_value > best_value)), cand_value, best_value
     )
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return value, np.where(take_axis[:, None], cand_axis, best_axis)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (n, 3) arrays: component i is
+    a[i+1] * b[i+2] - a[i+2] * b[i+1], indices mod 3."""
+    return a[:, _NEXT] * b[:, _AFTER] - a[:, _AFTER] * b[:, _NEXT]
+
+
+def _tangent_bases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent pair (e1, e2) at each unit row of ``u``."""
+    rows = np.arange(len(u))
+    helper = np.zeros_like(u)
+    helper[rows, np.argmin(np.abs(u), axis=1)] = 1.0
+    e1 = _cross(u, helper)
+    # (1, 3) @ (3, 1) runs the same BLAS dot as norm() of one 3-vector, so the
+    # batched basis matches the single-axis one bit for bit
+    e1 /= np.sqrt(np.matmul(e1[:, None, :], e1[:, :, None]))[:, 0]
+    return e1, _cross(u, e1)
+
+
+def _cap_grids(
+    centers: np.ndarray,
+    radius: float,
+    spiral: tuple[np.ndarray, np.ndarray, np.ndarray],
+    hemisphere: bool,
+) -> np.ndarray:
+    """Fibonacci-spiral grids on the geodesic caps of ``radius`` around
+    each center, shape (n, m, 3); with the hemisphere restriction,
+    spill-over points are replaced by their antipodes.  ``spiral`` holds
+    the (m, 1) columns sqrt(j/m), cos(j * golden angle) and
+    sin(j * golden angle), j = k + 1/2."""
+    root, cos_ang, sin_ang = spiral
+    dist = radius * root
+    e1, e2 = _tangent_bases(centers)
+    pts = np.cos(dist) * centers[:, None, :] + np.sin(dist) * (
+        cos_ang * e1[:, None, :] + sin_ang * e2[:, None, :]
+    )
+    pts /= np.linalg.norm(pts, axis=2)[:, :, None]
     if hemisphere:
-        flip = pts[:, 2] < 0.0
-        pts[flip] *= -1.0
+        pts[pts[:, :, 2] < 0.0] *= -1.0
     return pts
+
+
+def maximize_batch(f, n: int, cfg: SphereOptConfig | None = None) -> list[OptResult]:
+    """Maximize ``n`` batch objectives on the unit sphere in lockstep.
+
+    ``f`` receives an (n, m, 3) array of unit rows, row block i belonging
+    to search i, and must return an (n, m) array of values.  All searches
+    share the Fibonacci pass and then refine together, one objective call
+    per round, so the result for each row equals that of a search run on
+    its own.  Returns one :class:`OptResult` per row, in order.
+    """
+    if cfg is None:
+        cfg = SphereOptConfig()
+    if n < 1:
+        return []
+    grid = fibonacci_grid(cfg.grid_points, full_sphere=not cfg.hemisphere)
+    points = np.repeat(grid[None], n, axis=0)
+    best_value, best_axis = _row_best(points, _evaluate(f, points))
+    evaluations = len(grid)
+
+    m = cfg.local_points
+    j = (np.arange(m) + 0.5)[:, None]
+    ang = j * _GOLDEN_ANGLE
+    spiral = (np.sqrt(j / m), np.cos(ang), np.sin(ang))
+    radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
+    for _ in range(cfg.refine_rounds):
+        local = _cap_grids(best_axis, radius, spiral, cfg.hemisphere)
+        cand_value, cand_axis = _row_best(local, _evaluate(f, local))
+        best_value, best_axis = _merge(best_value, best_axis, cand_value, cand_axis)
+        evaluations += m
+        radius *= cfg.shrink_factor
+
+    return [
+        OptResult(axis=axis.copy(), value=float(value), evaluations=evaluations)
+        for value, axis in zip(best_value, best_axis)
+    ]
 
 
 def maximize_on_sphere(f, cfg: SphereOptConfig | None = None) -> OptResult:
@@ -146,21 +212,8 @@ def maximize_on_sphere(f, cfg: SphereOptConfig | None = None) -> OptResult:
     incumbent value never decreases and the reported value is the maximum
     over every point examined.  Ties within 1e-14 resolve to the
     lexicographically smallest axis, making the argmax reproducible.
+    This is the one-row case of :func:`maximize_batch`.
     """
-    if cfg is None:
-        cfg = SphereOptConfig()
-    grid = fibonacci_grid(cfg.grid_points, full_sphere=not cfg.hemisphere)
-    values = _evaluate(f, grid)
-    best_value, best_axis = _batch_best(grid, values)
-    evaluations = len(grid)
-
-    radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
-    for _ in range(cfg.refine_rounds):
-        local = _cap_grid(best_axis, radius, cfg.local_points, cfg.hemisphere)
-        local_values = _evaluate(f, local)
-        evaluations += len(local)
-        cand_value, cand_axis = _batch_best(local, local_values)
-        best_value, best_axis = _merge(best_value, best_axis, cand_value, cand_axis)
-        radius *= cfg.shrink_factor
-
-    return OptResult(axis=best_axis, value=best_value, evaluations=evaluations)
+    return maximize_batch(
+        lambda z: np.asarray(f(z[0]), dtype=float).reshape(1, -1), 1, cfg
+    )[0]

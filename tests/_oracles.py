@@ -6,6 +6,9 @@ dense Fibonacci scan polished with scipy.  Frozen regression constants in
 the test modules were produced by these routines.  The phase-damped
 objective and mutual information are written out by hand from the
 undamped parameters, independently of the package's parameter rescale.
+``serial_sphere_search`` is the one-search-at-a-time form of the sphere
+optimizer (a Python tie loop, ``np.cross``), which the lockstep engine
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from discordkit import BlochParams, build_state
+from discordkit import BlochParams, SphereOptConfig, build_state, fibonacci_grid
 
 
 def eigh_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -187,3 +190,59 @@ def damped_discord_reference(params: BlochParams, gamma: float, maximize) -> flo
     g_max = maximize(lambda z: damped_objective_reference(params, gamma, z))
     classical = g_max - _entropic_h(0.0, rn)
     return damped_mutual_information_reference(params, gamma) - classical
+
+
+_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+_TIE_EPS = 1e-14
+
+
+def _serial_best(points: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
+    vmax = float(values.max())
+    best = None
+    for point, value in zip(points, values):
+        if value >= vmax - _TIE_EPS and (best is None or tuple(point) < tuple(best)):
+            best = point
+    return vmax, np.array(best, dtype=float)
+
+
+def _serial_cap_grid(center, radius, m, hemisphere):
+    pick = int(np.argmin(np.abs(center)))
+    helper = np.zeros(3)
+    helper[pick] = 1.0
+    e1 = np.cross(center, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    j = np.arange(m) + 0.5
+    dist = radius * np.sqrt(j / m)
+    ang = j * _GOLDEN_ANGLE
+    pts = (
+        np.cos(dist)[:, None] * center[None, :]
+        + np.sin(dist)[:, None]
+        * (np.cos(ang)[:, None] * e1[None, :] + np.sin(ang)[:, None] * e2[None, :])
+    )
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    if hemisphere:
+        pts[pts[:, 2] < 0.0] *= -1.0
+    return pts
+
+
+def serial_sphere_search(f, cfg: SphereOptConfig) -> tuple[float, np.ndarray, int]:
+    """(value, axis, evaluations) of the Fibonacci pass plus shrinking cap
+    rounds, one objective call per grid on an (m, 3) array; ties within
+    1e-14 go to the lexicographically smallest axis."""
+    grid = fibonacci_grid(cfg.grid_points, full_sphere=not cfg.hemisphere)
+    best_value, best_axis = _serial_best(grid, np.asarray(f(grid), dtype=float))
+    evaluations = len(grid)
+    radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
+    for _ in range(cfg.refine_rounds):
+        local = _serial_cap_grid(best_axis, radius, cfg.local_points, cfg.hemisphere)
+        value, axis = _serial_best(local, np.asarray(f(local), dtype=float))
+        evaluations += len(local)
+        if value > best_value + _TIE_EPS:
+            best_value, best_axis = value, axis
+        elif value >= best_value - _TIE_EPS:
+            if tuple(axis) < tuple(best_axis):
+                best_axis = axis
+            best_value = max(best_value, value)
+        radius *= cfg.shrink_factor
+    return best_value, best_axis, evaluations

@@ -26,6 +26,7 @@ from discordkit import (
     werner_damped_gap,
     werner_damped_gap_dgamma,
 )
+from discordkit import discord as discord_module
 from discordkit.sampling import draw_axial_zero, draw_general_batch, draw_s0_planar
 
 from _oracles import (
@@ -210,6 +211,24 @@ def test_werner_gap_domain():
         werner_damped_gap(0.2, 1.5)
 
 
+@pytest.mark.parametrize("c", [1 / 3 + 1e-10, -1 - 1e-10])
+def test_werner_gap_on_gated_boundary_states(c):
+    """Just past either Werner bound the gate still accepts the state
+    (smallest eigenvalue above -1e-9), so the closed form answers too."""
+    params = BlochParams([0, 0, 0], [0, 0, 0], [c, c, c])
+    rows = gamma_sweep(params, [0.0, 0.5, 1.0])
+    for gamma, _, gap in rows:
+        assert werner_damped_gap(c, gamma) == pytest.approx(gap, abs=1e-6)
+    # the derivative raises only where its log argument is not positive
+    if c > 0:
+        with pytest.raises(DomainError):
+            werner_damped_gap_dgamma(c, 0.0)
+    else:
+        assert werner_damped_gap_dgamma(c, 0.5) == pytest.approx(
+            0.5 * c * np.log2(1.0 / (1.0 - 2.0 * c)), abs=1e-12
+        )
+
+
 def test_planar_gap_zero_at_gamma_zero(ref_state_b):
     assert planar_damped_gap(ref_state_b.r, 0.3, 0.0) == pytest.approx(0.0, abs=1e-14)
 
@@ -243,6 +262,35 @@ def test_gamma_sweep_single_point(ref_state_b):
     assert gamma == 0.0
     assert gap == 0.0
     assert q_damped == discord_numeric(ref_state_b).discord
+
+
+def test_gamma_sweep_rows_equal_damped_discord(ref_state_b):
+    rng = np.random.default_rng(241)
+    grid = [0.0, 0.2, 0.45, 0.9, 1.0]
+    for params in [ref_state_b] + draw_general_batch(rng, 3):
+        q0 = discord_numeric(params).discord
+        expected = []
+        for g in grid:
+            qd = damped_discord(params, PhaseDamping(g)).discord
+            expected.append((g, qd, q0 - qd))
+        assert gamma_sweep(params, grid) == expected
+
+
+def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
+    calls = []
+    kernel = discord_module._correlation_kernel
+
+    def counting(*args):
+        calls.append(args[-1].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(discord_module, "_correlation_kernel", counting)
+    params = draw_general_batch(np.random.default_rng(251), 1)[0]
+    gamma_sweep(params, np.linspace(0.0, 1.0, 11))
+    cfg = SphereOptConfig()
+    # one Fibonacci pass and one call per refine round, all 12 states at once
+    assert len(calls) == 1 + cfg.refine_rounds
+    assert calls[0] == (12, cfg.grid_points, 3)
 
 
 def test_gamma_sweep_werner_monotone():

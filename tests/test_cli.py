@@ -128,6 +128,17 @@ def test_compute_werner_just_past_bound_exits_0(capsys):
     assert payload["discord"] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+def test_compute_numeric_just_past_singlet_bound_exits_0(capsys):
+    """c = -1 - 1e-10 passes the PSD gate, so the numeric route answers."""
+    c = "-1.0000000001"
+    code, out, _ = run_cli(capsys, "compute", "--numeric", "--r=0,0,0", "--s=0,0,0",
+                           f"--c={c},{c},{c}")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "numeric"
+    assert payload["discord"] == pytest.approx(1.0, abs=1e-6)
+
+
 def test_curve_uniform_c_shape(capsys):
     code, out, _ = run_cli(capsys, "curve", *REF_A_FLAGS, "--samples", "101")
     assert code == 0
@@ -261,3 +272,34 @@ def test_verify_fails_on_impossible_tolerance(capsys):
     )
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_matches_one_draw_at_a_time(capsys):
+    """Batched verify consumes the generator as serial draws do."""
+    from discordkit import BlochParams, discord_axial, discord_numeric, discord_s0_planar
+    from discordkit.errors import DomainError
+    from discordkit.sampling import draw_r0_isotropic, draw_s0_planar
+
+    _, out, _ = run_cli(capsys, "verify", "--draws", "6", "--seed", "5",
+                        "--families", "s0-planar", "axial-formula")
+    rng = np.random.default_rng(5)
+    planar = 0.0
+    for _ in range(6):
+        p = draw_s0_planar(rng)
+        deviation = discord_s0_planar(p.r, p.c[0]) - discord_numeric(p).discord
+        planar = max(planar, abs(deviation))
+    rng = np.random.default_rng(5)
+    formula, undefined = 0.0, 0
+    for _ in range(6):
+        p = draw_r0_isotropic(rng)
+        p = BlochParams(p.r, p.s, [0.0, 0.0, p.c[2]])
+        try:
+            value = discord_axial(p, use_reference_formula=True)
+        except DomainError:
+            undefined += 1
+            continue
+        formula = max(formula, abs(value - discord_numeric(p).discord))
+    lines = out.splitlines()
+    assert lines[1] == f"s0-planar: max deviation {format(planar, '.17g')} -> ok"
+    assert lines[2].startswith(f"axial-formula: max deviation {format(formula, '.17g')}")
+    assert undefined > 0 and f"undefined on {undefined} draws" in lines[2]

@@ -1,14 +1,18 @@
 """Tests for mutual information, classical correlation and the discord
 closed forms against the numeric oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from discordkit import (
     BlochParams,
+    DiscordReport,
     DomainError,
     FamilyError,
     PhaseDamping,
+    PhysicalityError,
     SphereOptConfig,
     build_state,
     classical_correlation_numeric,
@@ -17,6 +21,7 @@ from discordkit import (
     discord_auto,
     discord_axial,
     discord_numeric,
+    discord_numeric_batch,
     discord_r0_isotropic,
     discord_s0_isotropic,
     discord_s0_isotropic_c_eq_r,
@@ -41,6 +46,7 @@ from discordkit import (
     METHOD_WERNER,
 )
 from discordkit import density
+from discordkit import discord as discord_module
 from discordkit.discord import C_EQ_R_MAX
 from discordkit.measurement import conditional_entropy
 from discordkit.sampling import (
@@ -445,6 +451,12 @@ def test_numeric_against_independent_reference():
     + [
         (BlochParams([0, 0, k], [0, 0, 0], [k, k, k]), METHOD_S0_ISOTROPIC_C_EQ_R)
         for k in (C_EQ_R_MAX + 1e-11, C_EQ_R_MAX + 1e-10, C_EQ_R_MAX + 1e-9)
+    ]
+    # Just past the singlet end c = -1: the numeric objective meets log
+    # arguments down to 1 - |c| = -1e-9, within four times the gate floor.
+    + [
+        (BlochParams([0, 0, 0], [0, 0, 0], [c, c, c]), METHOD_WERNER)
+        for c in (-1 - 1e-11, -1 - 1e-10, -1 - 1e-9)
     ],
 )
 def test_auto_dispatch_tags_and_values(params, method):
@@ -464,8 +476,9 @@ _GENERAL = BlochParams([0.1, 0, 0.2], [0.1, 0.2, 0.2], [0.1, 0.2, 0.3])
         lambda: discord_auto(BlochParams([0, 0, 0.3], [0, 0, 0], [0.2, 0.2, 0.2])),
         lambda: discord_auto(_GENERAL, _SMALL_CFG),
         lambda: damped_discord(_GENERAL, PhaseDamping(0.4), _SMALL_CFG),
+        lambda: discord_numeric_batch([_GENERAL], _SMALL_CFG),
     ],
-    ids=["numeric", "auto-closed-form", "auto-general", "damped"],
+    ids=["numeric", "auto-closed-form", "auto-general", "damped", "batch"],
 )
 def test_one_spectrum_per_state(monkeypatch, route):
     shapes = []
@@ -486,3 +499,34 @@ def test_auto_report_reconstructs_classical_corr(ref_state_b):
     assert rep.classical_corr == pytest.approx(
         -entropic_h(0.0, ref_state_b.r_norm) + REF_B_MAX_OBJECTIVE, abs=1e-9
     )
+
+
+def _assert_same_report(a: DiscordReport, b: DiscordReport) -> None:
+    for field in fields(DiscordReport):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def test_numeric_batch_equals_one_state_at_a_time():
+    rng = np.random.default_rng(239)
+    werner = BlochParams([0, 0, 0], [0, 0, 0], [0.2, 0.2, 0.2])  # flat objective
+    product = BlochParams([0.1, -0.2, 0.3], [0.2, 0.1, -0.1], [0, 0, 0])
+    k = C_EQ_R_MAX + 1e-10
+    boundary = BlochParams([0, 0, k], [0, 0, 0], [k, k, k])
+    assert -1e-9 <= density._gated_state(boundary)[1][-1] < 0.0
+    # 33 states: two lockstep blocks
+    states = draw_general_batch(rng, 20) + [werner, product, boundary]
+    states += draw_general_batch(rng, 10)
+    batch = discord_numeric_batch(iter(states))
+    assert len(batch) == 33
+    for params, report in zip(states, batch):
+        _assert_same_report(report, discord_numeric(params))
+
+
+def test_numeric_batch_gates_every_state_before_searching(monkeypatch):
+    searches = []
+    monkeypatch.setattr(discord_module, "maximize_batch", lambda *a: searches.append(a))
+    unphysical = BlochParams([0, 0, 0], [0, 0, 0], [1, 1, 1])
+    with pytest.raises(PhysicalityError):
+        discord_numeric_batch([SINGLET] * 40 + [unphysical])
+    assert searches == []
+    assert discord_numeric_batch([]) == []

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from discordkit import OptResult, SphereOptConfig, fibonacci_grid, maximize_on_sphere
+from discordkit import (
+    OptResult,
+    SphereOptConfig,
+    fibonacci_grid,
+    maximize_batch,
+    maximize_on_sphere,
+)
+
+from _oracles import serial_sphere_search
 
 
 def test_grid_single_point_is_unit():
@@ -117,3 +125,58 @@ def test_result_type_and_count():
     assert isinstance(res, OptResult)
     assert res.evaluations == 100 + 3 * 16
 
+
+
+def _row_objectives(kind: str, n: int):
+    """n objectives of one kind, as (per-row (m, 3) -> (m,), batch)."""
+    rng = np.random.default_rng(113)
+    if kind == "linear":
+        coef = rng.normal(size=(n, 3))
+        rows = [lambda z, a=a: z @ a for a in coef]
+    elif kind == "quadratic":
+        mats = rng.normal(size=(n, 3, 3))
+        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+        rows = [lambda z, m=m: np.einsum("ni,ij,nj->n", z, m, z) for m in mats]
+    else:
+        rows = [lambda z, k=k: np.full(len(z), float(k)) for k in range(n)]
+
+    def batch(z):
+        assert z.shape[0] == n and z.flags.writeable
+        return np.stack([f(block) for f, block in zip(rows, z)])
+
+    return rows, batch
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic", "constant"])
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_lockstep_rows_equal_single_and_serial_searches(kind, hemisphere):
+    cfg = SphereOptConfig(hemisphere=hemisphere)
+    rows, batch = _row_objectives(kind, 4)
+    results = maximize_batch(batch, len(rows), cfg)
+    assert len(results) == len(rows)
+    for f, res in zip(rows, results):
+        single = maximize_on_sphere(f, cfg)
+        value, axis, evaluations = serial_sphere_search(f, cfg)
+        for other in (single, OptResult(axis, value, evaluations)):
+            assert res.value == other.value
+            assert np.array_equal(res.axis, other.axis)
+            assert res.evaluations == other.evaluations
+
+
+@pytest.mark.parametrize(
+    "returned",
+    [lambda z: np.zeros(z.shape[:2])[:, :-1], lambda z: np.zeros(z.shape[1])],
+    ids=["short-rows", "one-row"],
+)
+def test_batch_rejects_wrong_shape(returned):
+    with pytest.raises(ValueError):
+        maximize_batch(returned, 2, SphereOptConfig(grid_points=50, refine_rounds=1))
+    with pytest.raises(ValueError):
+        maximize_on_sphere(lambda z: np.zeros(len(z) + 1))
+
+
+def test_batch_of_zero_searches_calls_nothing():
+    def never(z):
+        raise AssertionError("objective called")
+
+    assert maximize_batch(never, 0) == []
