@@ -31,6 +31,7 @@ from .discord import (
     METHOD_R0_ISOTROPIC,
     METHOD_S0_ISOTROPIC,
     METHOD_S0_PLANAR,
+    _FAMILY_TOL,
     discord_auto,
     discord_axial,
     discord_numeric,
@@ -54,8 +55,6 @@ from .sampling import (
     draw_s0_planar,
 )
 from .sphereopt import SphereOptConfig
-
-_FAMILY_TOL = 1e-12
 
 EXIT_OK = 0
 EXIT_UNPHYSICAL = 1

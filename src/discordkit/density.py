@@ -7,10 +7,13 @@ the diagonal c = (c1, c2, c3) of the correlation tensor:
                   + sum_i c_i sigma_i (x) sigma_i ]
 
 in the product basis |00>, |01>, |10>, |11>.  This module provides the
-state constructor and its inverse, a self-contained Jacobi eigensolver for
-small Hermitian matrices, partial traces, the von Neumann entropy and the
-two-parameter entropic function that underlies every closed form in the
-package.  All logarithms are base 2.
+state constructor and its inverse, the PSD gate, partial traces, the von
+Neumann entropy and the two-parameter entropic function that underlies
+every closed form in the package.  Every eigenvalues-only need (the gate,
+``check_density_matrix``, ``von_neumann_entropy``) takes one LAPACK
+spectrum; the self-contained Jacobi eigensolver behind
+:func:`hermitian_eigen` serves full decompositions and is the independent
+algorithm the gate is checked against.  All logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -121,26 +124,52 @@ def build_state(params: BlochParams) -> np.ndarray:
 
 
 def _gated_state(params: BlochParams) -> tuple[np.ndarray, np.ndarray]:
-    """The state and its descending eigenvalues from one Jacobi run, after
-    the PSD gate of :func:`build_state`.
+    """The state and its descending eigenvalues, after the PSD gate of
+    :func:`build_state`.
 
-    The eigenvalues equal ``hermitian_eigen(rho).eigenvalues`` bit for bit:
-    both sort the same decomposition, and exact ties only reorder equal
-    values.
+    The matrix comes from :func:`_family_matrix`; the eigenvalues come
+    from LAPACK (:func:`_eigenvalues`) and agree with
+    ``hermitian_eigen(rho).eigenvalues`` within 4e-15.
     """
-    rho = np.kron(IDENTITY2, IDENTITY2).astype(complex)
-    for i in range(3):
-        rho += params.r[i] * np.kron(PAULI[i], IDENTITY2)
-        rho += params.s[i] * np.kron(IDENTITY2, PAULI[i])
-        rho += params.c[i] * np.kron(PAULI[i], PAULI[i])
-    rho *= 0.25
-    rho = 0.5 * (rho + rho.conj().T)
-    lam = np.sort(_jacobi_eigenvalues(rho))[::-1].copy()
+    # Python floats: arithmetic on numpy scalars would cost more than the
+    # eigensolve.
+    rho = _family_matrix(params.r.tolist(), params.s.tolist(), params.c.tolist())
+    lam = _eigenvalues(rho)
     if lam[-1] < EIGENVALUE_FLOOR:
         raise PhysicalityError(
             f"parameters give smallest eigenvalue {lam[-1]:.3e} < {EIGENVALUE_FLOOR}"
         )
     return rho, lam
+
+
+def _family_matrix(r, s, c) -> np.ndarray:
+    """The family matrix written entry by entry.
+
+    Each of ``r``, ``s`` and ``c`` unpacks into three components: Python
+    floats give one 4x4 matrix, length-n arrays a (4, 4, n) stack.  Every
+    entry sums the same nonzero terms in the same order as the Pauli
+    expansion, so the result is bit-identical to the sum of the nine
+    Kronecker products.
+    """
+    (r0, r1, r2), (s0, s1, s2), (c0, c1, c2) = r, s, c
+    ra, sa = r0 - 1j * r1, s0 - 1j * s1
+    rb, sb = r0 + 1j * r1, s0 + 1j * s1
+    return 0.25 * np.array(
+        [
+            [1 + r2 + s2 + c2, sa, ra, c0 - c1],
+            [sb, 1 + r2 - s2 - c2, c0 + c1, ra],
+            [rb, c0 + c1, 1 - r2 + s2 - c2, sa],
+            [c0 - c1, rb, sb, 1 - r2 - s2 + c2],
+        ],
+        dtype=complex,
+    )
+
+
+def _eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian part (rho + rho^H)/2, by
+    LAPACK; the one spectrum route for every eigenvalues-only need."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[::-1].copy()
 
 
 def extract_bloch(rho: np.ndarray) -> BlochParams:
@@ -178,7 +207,8 @@ def check_density_matrix(rho: np.ndarray) -> None:
     """Gate a matrix through the density-matrix invariants.
 
     Hermiticity within 1e-12, unit trace within 1e-12 and smallest
-    eigenvalue above -1e-9.  Works for 2x2 and 4x4 inputs.
+    eigenvalue above -1e-9, taken from the LAPACK spectrum of the
+    Hermitian part.  Works for 2x2 and 4x4 inputs.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
@@ -189,7 +219,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise PhysicalityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    smallest = float(_jacobi_eigenvalues(rho).min())
+    smallest = float(_eigenvalues(rho)[-1])
     if smallest < EIGENVALUE_FLOOR:
         raise PhysicalityError(
             f"smallest eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"
@@ -243,10 +273,6 @@ def _jacobi_decompose(rho: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.
     raise AssertionError("unreachable")
 
 
-def _jacobi_eigenvalues(rho: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    return _jacobi_decompose(rho, max_sweeps)[0]
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     for comp in vec:
         if abs(comp) > 1e-12:
@@ -256,6 +282,10 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 def hermitian_eigen(rho: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
     """Full spectral decomposition by cyclic complex Jacobi rotations.
+
+    The package's own eigenvalue needs go through LAPACK; this solver
+    serves callers that want eigenvectors (the ``spectrum`` command) and
+    is the independent algorithm the PSD gate is tested against.
 
     The rotation order is fixed, the off-diagonal Frobenius target is
     1e-13 and the sweep budget defaults to 100, so the output is fully
@@ -328,13 +358,14 @@ def _xlog2(t: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -Tr rho log2 rho in bits, from the Jacobi spectrum.
+    """Entropy -Tr rho log2 rho in bits, from the LAPACK spectrum of the
+    Hermitian part of rho.
 
     Eigenvalues in [-1e-9, 0) are treated as rounding noise and clamped
     to zero; anything lower raises ``PhysicalityError``.
     """
-    lam = _jacobi_eigenvalues(np.asarray(rho, dtype=complex))
-    smallest = float(lam.min())
+    lam = _eigenvalues(rho)
+    smallest = float(lam[-1])
     if smallest < EIGENVALUE_FLOOR:
         raise PhysicalityError(
             f"eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"

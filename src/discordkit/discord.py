@@ -40,6 +40,7 @@ METHOD_AXIAL_ZERO = "axial-zero"
 METHOD_AXIAL_FORMULA = "axial-formula"
 METHOD_S0_PLANAR = "s0-planar"
 
+# Tolerance of every family predicate, here and in the CLI's verify.
 _FAMILY_TOL = 1e-12
 # States per lockstep search in discord_numeric_batch.
 _BATCH_BLOCK = 32

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import IDENTITY2, PAULI, BlochParams
+from .density import BlochParams, _family_matrix
 
 _MARGIN = 1e-6
 _BATCH = 4096
+# Rounding slack of the pre-eigensolve screen in draw_general_batch.
+_SCREEN_SLACK = 1e-12
 
 
 def _unit(rng: np.random.Generator) -> np.ndarray:
@@ -76,21 +78,31 @@ def draw_general_batch(
     rng: np.random.Generator, count: int, margin: float = _MARGIN
 ) -> list[BlochParams]:
     """Unrestricted physical draws by vectorized rejection on the smallest
-    eigenvalue (the acceptance rate of the full parameter box is ~0.1%, so
-    candidates are screened in batches)."""
+    eigenvalue.
+
+    The acceptance rate of the full parameter box is ~0.1%, so candidates
+    come in batches of 4096.  Two necessary conditions for
+    lambda_min >= margin screen them before the eigensolve: the smallest
+    diagonal entry bounds lambda_min from above (Rayleigh quotient), and
+    rho >= margin*I implies rho_a, rho_b >= 2*margin*I, i.e.
+    |r|, |s| <= 1 - 4*margin.  Both carry a 1e-12 slack, so the screen
+    rejects only candidates the eigenvalue test would reject too.
+    """
     accepted: list[BlochParams] = []
+    norm_cap = 1.0 - 4.0 * margin + _SCREEN_SLACK
     while len(accepted) < count:
         r = rng.uniform(-1.0, 1.0, size=(_BATCH, 3))
         s = rng.uniform(-1.0, 1.0, size=(_BATCH, 3))
         c = rng.uniform(-1.0, 1.0, size=(_BATCH, 3))
-        rho = np.tile(np.eye(4, dtype=complex)[None], (_BATCH, 1, 1))
-        for i in range(3):
-            rho += r[:, i, None, None] * np.kron(PAULI[i], IDENTITY2)[None]
-            rho += s[:, i, None, None] * np.kron(IDENTITY2, PAULI[i])[None]
-            rho += c[:, i, None, None] * np.kron(PAULI[i], PAULI[i])[None]
-        rho *= 0.25
-        smallest = np.linalg.eigvalsh(rho)[:, 0]
-        for idx in np.nonzero(smallest >= margin)[0]:
+        rho = np.moveaxis(_family_matrix(r.T, s.T, c.T), -1, 0)
+        diag_min = np.diagonal(rho, axis1=1, axis2=2).real.min(axis=1)
+        keep = np.nonzero(
+            (diag_min >= margin - _SCREEN_SLACK)
+            & (np.linalg.norm(r, axis=1) <= norm_cap)
+            & (np.linalg.norm(s, axis=1) <= norm_cap)
+        )[0]
+        smallest = np.linalg.eigvalsh(rho[keep])[:, 0]
+        for idx in keep[smallest >= margin]:
             if len(accepted) == count:
                 break
             accepted.append(BlochParams(r[idx], s[idx], c[idx]))

@@ -1,14 +1,19 @@
 """Independent reference implementations for pinning expected values.
 
-Everything here deliberately avoids the package's Jacobi eigensolver and
-sphere optimizer: spectra come from numpy.linalg, sphere maxima from a
-dense Fibonacci scan polished with scipy.  Frozen regression constants in
-the test modules were produced by these routines.  The phase-damped
-objective and mutual information are written out by hand from the
-undamped parameters, independently of the package's parameter rescale.
-``serial_sphere_search`` is the one-search-at-a-time form of the sphere
-optimizer (a Python tie loop, ``np.cross``), which the lockstep engine
-must reproduce bit for bit.
+Everything here deliberately avoids the package's sphere optimizer: sphere
+maxima come from a dense Fibonacci scan polished with scipy.  The package's
+PSD gate and entropies take numpy spectra, so the independent check on
+them is the package's own Jacobi solver (``hermitian_eigen``), and
+``kron_state`` is the nine-Kronecker-product form of the state matrix.
+Frozen regression constants in the test modules were produced by these
+routines.  The phase-damped objective and mutual information are written
+out by hand from the undamped parameters, independently of the package's
+parameter rescale.  ``serial_sphere_search`` is the one-search-at-a-time
+form of the sphere optimizer (a Python tie loop, ``np.cross``), which the
+lockstep engine must reproduce bit for bit.  ``draw_general_batch_reference``
+is the general sampler without its pre-eigensolve screen; the package's
+sampler must return the same draws and leave the generator in the same
+state.
 """
 
 from __future__ import annotations
@@ -17,11 +22,48 @@ import numpy as np
 from scipy.optimize import minimize
 
 from discordkit import BlochParams, SphereOptConfig, build_state, fibonacci_grid
+from discordkit.density import IDENTITY2, PAULI
 
 
 def eigh_spectrum(rho: np.ndarray) -> np.ndarray:
     """Descending spectrum via numpy (reference for the Jacobi solver)."""
     return np.linalg.eigvalsh(rho)[::-1]
+
+
+def kron_state(params: BlochParams) -> np.ndarray:
+    """The family matrix as the sum of nine Kronecker products, ungated."""
+    rho = np.kron(IDENTITY2, IDENTITY2).astype(complex)
+    for i in range(3):
+        rho += params.r[i] * np.kron(PAULI[i], IDENTITY2)
+        rho += params.s[i] * np.kron(IDENTITY2, PAULI[i])
+        rho += params.c[i] * np.kron(PAULI[i], PAULI[i])
+    rho *= 0.25
+    return 0.5 * (rho + rho.conj().T)
+
+
+def draw_general_batch_reference(
+    rng: np.random.Generator, count: int, margin: float
+) -> list[BlochParams]:
+    """General rejection sampler running eigvalsh on every candidate of
+    each 4096-draw batch."""
+    batch = 4096
+    accepted: list[BlochParams] = []
+    while len(accepted) < count:
+        r = rng.uniform(-1.0, 1.0, size=(batch, 3))
+        s = rng.uniform(-1.0, 1.0, size=(batch, 3))
+        c = rng.uniform(-1.0, 1.0, size=(batch, 3))
+        rho = np.tile(np.eye(4, dtype=complex)[None], (batch, 1, 1))
+        for i in range(3):
+            rho += r[:, i, None, None] * np.kron(PAULI[i], IDENTITY2)[None]
+            rho += s[:, i, None, None] * np.kron(IDENTITY2, PAULI[i])[None]
+            rho += c[:, i, None, None] * np.kron(PAULI[i], PAULI[i])[None]
+        rho *= 0.25
+        smallest = np.linalg.eigvalsh(rho)[:, 0]
+        for idx in np.nonzero(smallest >= margin)[0]:
+            if len(accepted) == count:
+                break
+            accepted.append(BlochParams(r[idx], s[idx], c[idx]))
+    return accepted
 
 
 def _xlog2(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Shared fixtures and the acceptance-criterion summary printer."""
+"""Shared fixtures, the Hypothesis home and the acceptance-criterion
+summary printer."""
 
 import re
+import tempfile
 
 import pytest
+from hypothesis import configuration as hypothesis_configuration
 
 from discordkit import BlochParams
 
@@ -20,6 +23,21 @@ def ref_state_a():
 @pytest.fixture
 def ref_state_b():
     return REF_STATE_B
+
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis caches the literals of local modules on disk even without
+    # an example database; a temporary home keeps that cache out of the tree.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    hypothesis_configuration.set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 _ACCEPTANCE_RESULTS: dict[str, list[str]] = {}

@@ -1,8 +1,10 @@
-"""Tests for state construction, the Jacobi eigensolver, partial traces,
-entropies and the entropic function."""
+"""Tests for state construction, the PSD gate, the Jacobi eigensolver,
+partial traces, entropies and the entropic function."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from discordkit import (
     BlochParams,
@@ -18,10 +20,12 @@ from discordkit import (
     qubit_state,
     von_neumann_entropy,
 )
-from discordkit.density import PAULI
+from discordkit import density
+from discordkit.density import EIGENVALUE_FLOOR, PAULI
+from discordkit.discord import C_EQ_R_MAX
 from discordkit.sampling import draw_general_batch
 
-from _oracles import eigh_spectrum
+from _oracles import eigh_spectrum, kron_state
 
 SINGLET = BlochParams([0, 0, 0], [0, 0, 0], [-1, -1, -1])
 
@@ -57,6 +61,73 @@ def test_build_state_reference_entries(ref_state_a):
 def test_build_state_rejects_unphysical():
     with pytest.raises(PhysicalityError):
         build_state(BlochParams([0, 0, 0], [0, 0, 0], [1, 1, 1]))
+
+
+# Derandomized and without an example database: the same examples on
+# every run, and nothing written to disk.
+_GATE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 9)
+
+
+def _scaled_toward_mixed(direction, target: float) -> BlochParams:
+    """t * (r, s, c) with Jacobi lambda_min near ``target``: the state is
+    I/4 + t D, so every eigenvalue moves linearly in t."""
+    d = BlochParams(direction[:3], direction[3:6], direction[6:])
+    mu = hermitian_eigen(kron_state(d)).eigenvalues[-1] - 0.25
+    assume(mu < -1e-3)
+    t = (target - 0.25) / mu
+    return BlochParams(t * d.r, t * d.s, t * d.c)
+
+
+def _werner(c: float) -> BlochParams:
+    return BlochParams([0, 0, 0], [0, 0, 0], [c, c, c])
+
+
+@_GATE_SETTINGS
+@given(_DIRECTIONS, st.floats(0.0, 0.25))
+def test_build_state_equals_kron_sum(direction, target):
+    params = _scaled_toward_mixed(direction, target)
+    assert np.array_equal(build_state(params), kron_state(params))
+
+
+@_GATE_SETTINGS
+@given(_DIRECTIONS, st.floats(0.0, 0.25))
+def test_gate_spectrum_matches_jacobi(direction, target):
+    params = _scaled_toward_mixed(direction, target)
+    lam = density._gated_state(params)[1]
+    oracle = hermitian_eigen(build_state(params)).eigenvalues
+    assert np.max(np.abs(lam - oracle)) <= 4e-15
+
+
+@_GATE_SETTINGS
+@given(_DIRECTIONS, st.floats(-2e-9, 1e-9))
+def test_gate_decision_matches_jacobi_lambda_min(direction, target):
+    params = _scaled_toward_mixed(direction, target)
+    lam_min = hermitian_eigen(kron_state(params)).eigenvalues[-1]
+    assume(abs(lam_min - EIGENVALUE_FLOOR) > 1e-13)
+    if lam_min < EIGENVALUE_FLOOR:
+        with pytest.raises(PhysicalityError):
+            build_state(params)
+    else:
+        build_state(params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        _werner(1 / 3 + 1e-10),
+        _werner(-1 - 1e-10),
+        BlochParams([0, 0, C_EQ_R_MAX + 1e-10], [0, 0, 0], [C_EQ_R_MAX + 1e-10] * 3),
+    ],
+    ids=["werner-third", "werner-singlet", "c-eq-r"],
+)
+def test_gate_accepts_states_just_past_the_boundary(params):
+    assert EIGENVALUE_FLOOR <= density._gated_state(params)[1][-1] < 0.0
+
+
+def test_gate_rejects_werner_past_the_floor():
+    with pytest.raises(PhysicalityError):
+        build_state(_werner(1 / 3 + 1e-8))
 
 
 def test_extract_bloch_maximally_mixed():

@@ -482,13 +482,13 @@ _GENERAL = BlochParams([0.1, 0, 0.2], [0.1, 0.2, 0.2], [0.1, 0.2, 0.3])
 )
 def test_one_spectrum_per_state(monkeypatch, route):
     shapes = []
-    decompose = density._jacobi_decompose
+    eigenvalues = density._eigenvalues
 
-    def counting(rho, max_sweeps):
+    def counting(rho):
         shapes.append(np.shape(rho))
-        return decompose(rho, max_sweeps)
+        return eigenvalues(rho)
 
-    monkeypatch.setattr(density, "_jacobi_decompose", counting)
+    monkeypatch.setattr(density, "_eigenvalues", counting)
     route()
     assert shapes == [(4, 4)]
 
