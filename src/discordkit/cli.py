@@ -334,8 +334,12 @@ def _add_state_flags(sub) -> None:
 
 
 def _add_opt_flags(sub) -> None:
-    sub.add_argument("--grid-points", type=int, default=None)
-    sub.add_argument("--refine-rounds", type=int, default=None)
+    sub.add_argument("--grid-points", type=int, default=None,
+                     help="points of the first Fibonacci pass (default 2000)")
+    sub.add_argument("--refine-rounds", type=int, default=None,
+                     help="cap on the plain cap rounds of the sphere search (default 40); "
+                     "the numeric discord runs them in full only for a state whose "
+                     "maximum the Newton polish cannot certify")
 
 
 def build_parser() -> argparse.ArgumentParser:

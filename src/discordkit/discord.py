@@ -28,8 +28,8 @@ from .density import (
     _xlog2,
 )
 from .errors import DomainError, FamilyError
-from .measurement import _correlation_kernel, correlation_objective
-from .sphereopt import OptResult, SphereOptConfig, maximize_batch, maximize_on_sphere
+from .measurement import _correlation_derivatives, _correlation_kernel
+from .sphereopt import OptResult, SphereOptConfig, maximize_batch
 
 METHOD_NUMERIC = "numeric"
 METHOD_S0_ISOTROPIC = "s0-isotropic"
@@ -295,12 +295,29 @@ def _discord_cfg(cfg: SphereOptConfig | None) -> SphereOptConfig:
     return replace(cfg, hemisphere=True)
 
 
+def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
+    """Sphere maxima of the correlation objectives of ``states``: one
+    Newton-polished :func:`maximize_batch` per block of at most 32 states,
+    which bounds the memory of the shared Fibonacci pass."""
+    eff = _discord_cfg(cfg)
+    results: list[OptResult] = []
+    for start in range(0, len(states), _BATCH_BLOCK):
+        block = states[start : start + _BATCH_BLOCK]
+        r, s, c = (np.stack([getattr(p, k) for p in block]) for k in "rsc")
+        results += maximize_batch(
+            lambda z: _correlation_kernel(r, s, c, z),
+            len(block),
+            eff,
+            lambda z: _correlation_derivatives(r, s, c, z),
+        )
+    return results
+
+
 def maximize_correlation_objective(
     params: BlochParams, cfg: SphereOptConfig | None = None
 ) -> OptResult:
     """Sphere maximum of the correlation objective."""
-    eff = _discord_cfg(cfg)
-    return maximize_on_sphere(lambda z: correlation_objective(params, z), eff)
+    return _correlation_search([params], cfg)[0]
 
 
 def classical_correlation_numeric(
@@ -330,30 +347,21 @@ def discord_numeric(
     params: BlochParams, cfg: SphereOptConfig | None = None
 ) -> DiscordReport:
     """Discord by direct optimization; the oracle for every closed form."""
-    spectrum = _gated_state(params)[1]
-    return _numeric_report(params, spectrum, maximize_correlation_objective(params, cfg))
+    return discord_numeric_batch([params], cfg)[0]
 
 
 def discord_numeric_batch(
     params_seq, cfg: SphereOptConfig | None = None
 ) -> list[DiscordReport]:
-    """``[discord_numeric(p, cfg) for p in params_seq]``, field for field,
-    with the sphere searches run in lockstep.
+    """Numeric discord of every state in ``params_seq``; each report is
+    independent of the batch it came in.
 
-    Every state passes the PSD gate before any search starts; the searches
-    then run in blocks of at most 32 states, one :func:`maximize_batch`
-    per block, which bounds the memory of the shared Fibonacci pass.
+    Every state passes the PSD gate before any search starts; the
+    searches then run in lockstep blocks (see :func:`_correlation_search`).
     """
     states = list(params_seq)
     spectra = [_gated_state(p)[1] for p in states]
-    eff = _discord_cfg(cfg)
-    results: list[OptResult] = []
-    for start in range(0, len(states), _BATCH_BLOCK):
-        block = states[start : start + _BATCH_BLOCK]
-        r, s, c = (np.stack([getattr(p, k) for p in block]) for k in "rsc")
-        results += maximize_batch(
-            lambda z: _correlation_kernel(r, s, c, z), len(block), eff
-        )
+    results = _correlation_search(states, cfg)
     return [_numeric_report(*row) for row in zip(states, spectra, results)]
 
 

@@ -27,6 +27,12 @@ _BRANCH_FLOOR = 1e-12
 _QUAT_NORM_TOL = 1e-9
 _AXIS_NORM_TOL = 1e-9
 _LOG_ARG_FLOOR = 4.0 * EIGENVALUE_FLOOR
+# Derivatives are reported only where every log argument and x+- is at
+# least this.  Both are 2-Lipschitz in the axis, so a Newton step of at most
+# 1e-4 (the polish radius of sphereopt) keeps them above 8e-4: the trial
+# axis stays inside the kernel's domain and where x+- is differentiable.
+_SMOOTH_FLOOR = 1e-3
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,29 @@ def _axes_2d(axis) -> tuple[np.ndarray, bool]:
     return z, False
 
 
+def _log_arguments(r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray):
+    """The six log arguments of the correlation objective of n states,
+    stacked as (n, 3) rows of r, s and c, on an (n, m, 3) array of axes.
+
+    Returns the (6, n, m) arguments 1 + w, 1 - w, 1 + w +- x+ and
+    1 - w +- x-, where w = s.z and x+- = |u+-| with u+- = r +- c*z, and
+    the (n, m, 3) vectors u+- with their (n, m) norms x+-.
+    """
+    w = np.matmul(z, s[:, :, None])[..., 0]
+    u_plus = r[:, None, :] + c[:, None, :] * z
+    u_minus = r[:, None, :] - c[:, None, :] * z
+    x_plus = np.linalg.norm(u_plus, axis=2)
+    x_minus = np.linalg.norm(u_minus, axis=2)
+    t = np.empty((6,) + w.shape)
+    np.add(1.0, w, out=t[0])
+    np.subtract(1.0, w, out=t[1])
+    np.add(t[0], x_plus, out=t[2])
+    np.subtract(t[0], x_plus, out=t[3])
+    np.add(t[1], x_minus, out=t[4])
+    np.subtract(t[1], x_minus, out=t[5])
+    return t, u_plus, x_plus, u_minus, x_minus
+
+
 def _correlation_kernel(
     r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
@@ -155,16 +184,7 @@ def _correlation_kernel(
     arguments from that bound up to 1e-12 contribute zero (the
     x log x -> 0 limit); anything lower raises ``DomainError``.
     """
-    w = np.matmul(z, s[:, :, None])[..., 0]
-    x_plus = np.linalg.norm(r[:, None, :] + c[:, None, :] * z, axis=2)
-    x_minus = np.linalg.norm(r[:, None, :] - c[:, None, :] * z, axis=2)
-    t = np.empty((6,) + w.shape)
-    np.add(1.0, w, out=t[0])
-    np.subtract(1.0, w, out=t[1])
-    np.add(t[0], x_plus, out=t[2])
-    np.subtract(t[0], x_plus, out=t[3])
-    np.add(t[1], x_minus, out=t[4])
-    np.subtract(t[1], x_minus, out=t[5])
+    t = _log_arguments(r, s, c, z)[0]
     low = float(t.min())
     if low < _LOG_ARG_FLOOR:
         raise DomainError(f"log argument {low:.3e} below {_LOG_ARG_FLOOR}")
@@ -176,6 +196,61 @@ def _correlation_kernel(
         + 0.5 * (0.5 * (xlog[2] + xlog[3]))
         + 0.5 * (0.5 * (xlog[4] + xlog[5]))
     )
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, :, None] * b[:, None, :]
+
+
+def _correlation_derivatives(
+    r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean gradient (n, 3) and Hessian (n, 3, 3) of the objective
+    of :func:`_correlation_kernel` at one axis per state, z of shape
+    (n, 3).
+
+    With f(t) = t log2 t the objective is
+    -[f(t0) + f(t1)]/2 + [f(t2) + f(t3) + f(t4) + f(t5)]/4 over the six
+    log arguments; f'(t) = log2 t + 1/ln 2 and f''(t) = 1/(t ln 2).  The
+    arguments depend on z through w = s.z (gradient s) and x+- (gradient
+    v+- = +-c*u+- / x+-, Hessian (diag(c^2) - v+- v+-^T) / x+-).  Rows
+    where a log argument or x+- lies below 1e-3 (near the domain edge,
+    or near where x+- is not differentiable) come back as NaN.
+    """
+    t, u_plus, x_plus, u_minus, x_minus = _log_arguments(r, s, c, z[:, None, :])
+    t, x_plus, x_minus = t[..., 0], x_plus[:, 0], x_minus[:, 0]
+    u_plus, u_minus = u_plus[:, 0], u_minus[:, 0]
+    smooth = (t.min(axis=0) >= _SMOOTH_FLOOR) & (np.minimum(x_plus, x_minus) >= _SMOOTH_FLOOR)
+    t[:, ~smooth] = 1.0
+    x_plus[~smooth] = 1.0
+    x_minus[~smooth] = 1.0
+    d1 = np.log2(t) + 1.0 / _LN2
+    d2 = 1.0 / (_LN2 * t)
+    g_w = -0.5 * (d1[0] - d1[1]) + 0.25 * (d1[2] + d1[3]) - 0.25 * (d1[4] + d1[5])
+    g_plus = 0.25 * (d1[2] - d1[3])
+    g_minus = 0.25 * (d1[4] - d1[5])
+    v_plus = c * u_plus / x_plus[:, None]
+    v_minus = -c * u_minus / x_minus[:, None]
+    grad = g_w[:, None] * s + g_plus[:, None] * v_plus + g_minus[:, None] * v_minus
+
+    h_ww = -0.5 * (d2[0] + d2[1]) + 0.25 * (d2[2] + d2[3] + d2[4] + d2[5])
+    h_wp = 0.25 * (d2[2] - d2[3])
+    h_wm = 0.25 * (d2[5] - d2[4])
+    curv_plus = g_plus / x_plus
+    curv_minus = g_minus / x_minus
+    cross_p = _outer(s, v_plus)
+    cross_m = _outer(s, v_minus)
+    hess = (
+        h_ww[:, None, None] * _outer(s, s)
+        + h_wp[:, None, None] * (cross_p + cross_p.transpose(0, 2, 1))
+        + h_wm[:, None, None] * (cross_m + cross_m.transpose(0, 2, 1))
+        + (0.25 * (d2[2] + d2[3]) - curv_plus)[:, None, None] * _outer(v_plus, v_plus)
+        + (0.25 * (d2[4] + d2[5]) - curv_minus)[:, None, None] * _outer(v_minus, v_minus)
+    )
+    hess[:, [0, 1, 2], [0, 1, 2]] += (curv_plus + curv_minus)[:, None] * (c * c)
+    grad[~smooth] = np.nan
+    hess[~smooth] = np.nan
+    return grad, hess
 
 
 def correlation_objective(params: BlochParams, axis):

@@ -2,8 +2,11 @@
 sphere.
 
 The strategy is a dense Fibonacci-lattice pass followed by shrinking
-spherical-cap grids around the incumbent: derivative-free, monotone in the
-incumbent value and bit-reproducible for a fixed configuration.
+spherical-cap grids around the incumbent: monotone in the incumbent value
+and bit-reproducible for a fixed configuration.  Objectives that come with
+their gradient and Hessian trade the late cap rounds for at most three
+Riemannian Newton steps, which also certify the local maximum; rows they
+cannot certify finish with the plain rounds.
 
 One engine, :func:`maximize_batch`, runs n such searches in lockstep: they
 share the Fibonacci pass, and each refine round builds all n cap grids at
@@ -23,6 +26,17 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIE_EPS = 1e-14
 _NEXT = [1, 2, 0]
 _AFTER = [2, 0, 1]
+# Newton polish: cap rounds stop once the radius falls to _POLISH_RADIUS,
+# which also bounds each Newton step; a row is certified when its tangent
+# gradient norm is at most _GRADIENT_TOL and its tangent Hessian has every
+# eigenvalue below -_CURVATURE_TOL (a flat direction, whose computed
+# curvature is rounding noise, is not certified); a step may lower the
+# running maximum by at most _VALUE_SLACK.
+_POLISH_RADIUS = 1e-4
+_NEWTON_STEPS = 3
+_GRADIENT_TOL = 1e-10
+_CURVATURE_TOL = 1e-8
+_VALUE_SLACK = 1e-15
 
 
 @dataclass(frozen=True)
@@ -54,9 +68,19 @@ class SphereOptConfig:
 
 @dataclass(frozen=True)
 class OptResult:
+    """Maximum ``value`` at ``axis`` after ``evaluations`` objective
+    evaluations, with diagnostics: the cap rounds run, the Newton steps
+    accepted, the last tangent gradient norm, and the largest tangent
+    Hessian eigenvalue of a certified local maximum (NaN when the Newton
+    polish did not certify the row, or did not run)."""
+
     axis: np.ndarray
     value: float
     evaluations: int
+    refine_rounds: int = 0
+    newton_steps: int = 0
+    gradient_norm: float = float("nan")
+    hessian_max_eig: float = float("nan")
 
     def __post_init__(self):
         self.axis.setflags(write=False)
@@ -167,7 +191,74 @@ def _cap_grids(
     return pts
 
 
-def maximize_batch(f, n: int, cfg: SphereOptConfig | None = None) -> list[OptResult]:
+def _tangent_model(derivatives, z: np.ndarray):
+    """Tangent bases (n, 3, 2), tangent gradients B^T grad (n, 2) and
+    Riemannian Hessians B^T H B - (z . grad) I (n, 2, 2) at unit rows z."""
+    grad, hess = derivatives(z)
+    basis = np.stack(_tangent_bases(z), axis=2)
+    basis_t = basis.transpose(0, 2, 1)
+    g = np.matmul(basis_t, grad[:, :, None])[..., 0]
+    h = basis_t @ hess @ basis
+    radial = np.matmul(grad[:, None, :], z[:, :, None])[:, 0, 0]
+    h[:, [0, 1], [0, 1]] -= radial[:, None]
+    return basis, g, h
+
+
+def _newton_polish(f, derivatives, value, axis, hemisphere):
+    """At most three Riemannian Newton steps from each row's cap incumbent.
+
+    A row is certified once its tangent gradient norm is at most 1e-10
+    and the largest eigenvalue of its tangent Hessian is below -1e-8.  A
+    row stops uncertified when its derivatives are undefined (NaN), its
+    tangent Hessian is not negative definite by that margin, its step is
+    longer than the polish radius, or a step lowers the running maximum
+    by more than 1e-15.  Returns (certified, axes, values, accepted
+    steps, objective evaluations, gradient norms, top eigenvalues), with
+    the top eigenvalue NaN on uncertified rows.
+    """
+    n = len(axis)
+    z, best = axis.copy(), value.copy()
+    live = np.ones(n, dtype=bool)
+    certified = np.zeros(n, dtype=bool)
+    steps = np.zeros(n, dtype=int)
+    evaluations = np.zeros(n, dtype=int)
+    grad_norm = np.full(n, np.nan)
+    top = np.full(n, np.nan)
+    for k in range(_NEWTON_STEPS + 1):
+        basis, g, h = _tangent_model(derivatives, z)
+        a, b, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+        norm = np.hypot(g[:, 0], g[:, 1])
+        grad_norm[live] = norm[live]
+        concave = lam < -_CURVATURE_TOL
+        done = live & concave & (norm <= _GRADIENT_TOL)
+        certified |= done
+        top[done] = lam[done]
+        live &= concave & ~done
+        if k == _NEWTON_STEPS or not live.any():
+            break
+        # the Newton step -h^{-1} g; live rows have a d - b^2 > 1e-16
+        det = np.where(live, a * d - b * b, 1.0)
+        step0 = (b * g[:, 1] - d * g[:, 0]) / det
+        step1 = (b * g[:, 0] - a * g[:, 1]) / det
+        live &= np.hypot(step0, step1) <= _POLISH_RADIUS
+        trial = z + step0[:, None] * basis[:, :, 0] + step1[:, None] * basis[:, :, 1]
+        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        if hemisphere:
+            trial[trial[:, 2] < 0.0] *= -1.0
+        trial[~live] = z[~live]
+        trial_value = _evaluate(f, trial[:, None, :])[:, 0]
+        evaluations += live
+        live &= trial_value >= best - _VALUE_SLACK
+        steps += live
+        z[live] = trial[live]
+        best[live] = np.maximum(best[live], trial_value[live])
+    return certified, z, best, steps, evaluations, grad_norm, top
+
+
+def maximize_batch(
+    f, n: int, cfg: SphereOptConfig | None = None, derivatives=None
+) -> list[OptResult]:
     """Maximize ``n`` batch objectives on the unit sphere in lockstep.
 
     ``f`` receives an (n, m, 3) array of unit rows, row block i belonging
@@ -175,6 +266,17 @@ def maximize_batch(f, n: int, cfg: SphereOptConfig | None = None) -> list[OptRes
     share the Fibonacci pass and then refine together, one objective call
     per round, so the result for each row equals that of a search run on
     its own.  Returns one :class:`OptResult` per row, in order.
+
+    Without ``derivatives`` every row runs all ``refine_rounds`` cap
+    rounds.  ``derivatives`` maps (n, 3) unit rows to the Euclidean
+    gradients (n, 3) and Hessians (n, 3, 3) of the objectives, NaN where
+    undefined.  With it, the cap rounds stop once the radius falls to
+    1e-4 (12 rounds at the default configuration) or ``refine_rounds``
+    run out, whichever comes first, and at most three
+    Riemannian Newton steps polish each row's incumbent.  A row whose
+    local maximum they certify stops there; every other row continues
+    the plain rounds up to ``refine_rounds`` from its cap incumbent, and
+    so ends exactly where a search without derivatives ends.
     """
     if cfg is None:
         cfg = SphereOptConfig()
@@ -183,23 +285,52 @@ def maximize_batch(f, n: int, cfg: SphereOptConfig | None = None) -> list[OptRes
     grid = fibonacci_grid(cfg.grid_points, full_sphere=not cfg.hemisphere)
     points = np.repeat(grid[None], n, axis=0)
     best_value, best_axis = _row_best(points, _evaluate(f, points))
-    evaluations = len(grid)
+    evaluations = np.full(n, len(grid))
 
     m = cfg.local_points
     j = (np.arange(m) + 0.5)[:, None]
     ang = j * _GOLDEN_ANGLE
     spiral = (np.sqrt(j / m), np.cos(ang), np.sin(ang))
     radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
-    for _ in range(cfg.refine_rounds):
+    rounds = np.zeros(n, dtype=int)
+    certified = np.zeros(n, dtype=bool)
+    steps = np.zeros(n, dtype=int)
+    grad_norm = np.full(n, np.nan)
+    top = np.full(n, np.nan)
+    polished = derivatives is None  # the polish runs at most once
+    for k in range(cfg.refine_rounds + 1):
+        if not polished and (radius <= _POLISH_RADIUS or k == cfg.refine_rounds):
+            polished = True
+            certified, z, z_value, steps, newton_evals, grad_norm, top = _newton_polish(
+                f, derivatives, best_value, best_axis, cfg.hemisphere
+            )
+            best_axis[certified] = z[certified]
+            best_value[certified] = z_value[certified]
+            evaluations += newton_evals
+        if k == cfg.refine_rounds or certified.all():
+            break
         local = _cap_grids(best_axis, radius, spiral, cfg.hemisphere)
+        # certified rows are finished: their grids collapse onto their axes
+        local[certified] = best_axis[certified, None, :]
         cand_value, cand_axis = _row_best(local, _evaluate(f, local))
-        best_value, best_axis = _merge(best_value, best_axis, cand_value, cand_axis)
-        evaluations += m
+        value, axis = _merge(best_value, best_axis, cand_value, cand_axis)
+        best_value = np.where(certified, best_value, value)
+        best_axis = np.where(certified[:, None], best_axis, axis)
+        evaluations += m * ~certified
+        rounds += ~certified
         radius *= cfg.shrink_factor
 
     return [
-        OptResult(axis=axis.copy(), value=float(value), evaluations=evaluations)
-        for value, axis in zip(best_value, best_axis)
+        OptResult(
+            axis=best_axis[i].copy(),
+            value=float(best_value[i]),
+            evaluations=int(evaluations[i]),
+            refine_rounds=int(rounds[i]),
+            newton_steps=int(steps[i]),
+            gradient_norm=float(grad_norm[i]),
+            hessian_max_eig=float(top[i]),
+        )
+        for i in range(n)
     ]
 
 

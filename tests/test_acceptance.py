@@ -23,6 +23,7 @@ from discordkit import (
     damp_bloch,
     damped_discord,
     discord_numeric,
+    discord_numeric_batch,
     discord_r0_isotropic,
     discord_s0_isotropic,
     discord_s0_planar,
@@ -92,32 +93,25 @@ def test_c02_reference_state_b_spectrum_objective_and_discord():
 def test_c03_closed_forms_match_numeric_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
+    # the same 400 draws, in the same order, as one numeric batch
+    draws = {
+        "s0-isotropic": [draw_s0_isotropic(rng) for _ in range(100)],
+        "r0-isotropic": [draw_r0_isotropic(rng) for _ in range(100)],
+        "axial-zero": [draw_axial_zero(rng) for _ in range(100)],
+        "s0-planar": [draw_s0_planar(rng) for _ in range(100)],
+    }
+    closed_forms = {
+        "s0-isotropic": lambda p: discord_s0_isotropic(p.r_norm, p.c[2]),
+        "r0-isotropic": lambda p: discord_r0_isotropic(p.s_norm, p.c[2]),
+        "axial-zero": lambda p: 0.0,
+        "s0-planar": lambda p: discord_s0_planar(p.r, p.c[0]),
+    }
+    reports = iter(discord_numeric_batch([p for batch in draws.values() for p in batch]))
     worst = {}
-    for _ in range(100):
-        params = draw_s0_isotropic(rng)
-        dev = abs(
-            discord_s0_isotropic(params.r_norm, params.c[2])
-            - discord_numeric(params).discord
-        )
-        worst["s0-isotropic"] = max(worst.get("s0-isotropic", 0.0), dev)
-    for _ in range(100):
-        params = draw_r0_isotropic(rng)
-        dev = abs(
-            discord_r0_isotropic(params.s_norm, params.c[2])
-            - discord_numeric(params).discord
-        )
-        worst["r0-isotropic"] = max(worst.get("r0-isotropic", 0.0), dev)
-    for _ in range(100):
-        params = draw_axial_zero(rng)
-        dev = abs(discord_numeric(params).discord)
-        worst["axial-zero"] = max(worst.get("axial-zero", 0.0), dev)
-    for _ in range(100):
-        params = draw_s0_planar(rng)
-        dev = abs(
-            discord_s0_planar(params.r, params.c[0])
-            - discord_numeric(params).discord
-        )
-        worst["s0-planar"] = max(worst.get("s0-planar", 0.0), dev)
+    for family, batch in draws.items():
+        for params in batch:
+            dev = abs(closed_forms[family](params) - next(reports).discord)
+            worst[family] = max(worst.get(family, 0.0), dev)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
     for family, dev in worst.items():

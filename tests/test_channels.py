@@ -288,9 +288,11 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     params = draw_general_batch(np.random.default_rng(251), 1)[0]
     gamma_sweep(params, np.linspace(0.0, 1.0, 11))
     cfg = SphereOptConfig()
-    # one Fibonacci pass and one call per refine round, all 12 states at once
-    assert len(calls) == 1 + cfg.refine_rounds
+    # all 12 states at once: one Fibonacci pass, the 12 cap rounds down to
+    # the polish radius, then one Newton step whose trial axes certify
+    # every row, so none of the 28 remaining rounds runs
     assert calls[0] == (12, cfg.grid_points, 3)
+    assert calls[1:] == [(12, cfg.local_points, 3)] * 12 + [(12, 1, 3)]
 
 
 def test_gamma_sweep_werner_monotone():

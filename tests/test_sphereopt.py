@@ -180,3 +180,85 @@ def test_batch_of_zero_searches_calls_nothing():
         raise AssertionError("objective called")
 
     assert maximize_batch(never, 0) == []
+
+
+def _quadratic_batch(n: int, seed: int):
+    """n quadratic forms z.A z with their gradients 2Az and Hessians 2A."""
+    mats = np.random.default_rng(seed).normal(size=(n, 3, 3))
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+
+    def f(z):
+        return np.einsum("nmi,nij,nmj->nm", z, mats, z)
+
+    def derivatives(z):
+        return 2.0 * np.einsum("nij,nj->ni", mats, z), 2.0 * mats
+
+    return mats, f, derivatives
+
+
+def test_result_diagnostics_default_and_plain_rounds():
+    bare = OptResult(np.zeros(3), 1.0, 10)
+    assert (bare.refine_rounds, bare.newton_steps) == (0, 0)
+    assert np.isnan(bare.gradient_norm) and np.isnan(bare.hessian_max_eig)
+    cfg = SphereOptConfig(refine_rounds=7)
+    res = maximize_on_sphere(lambda z: z[:, 2], cfg)
+    assert (res.refine_rounds, res.newton_steps) == (7, 0)
+    assert np.isnan(res.gradient_norm) and np.isnan(res.hessian_max_eig)
+
+
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_newton_polish_certifies_quadratic_maxima(hemisphere):
+    mats, f, derivatives = _quadratic_batch(6, 127)
+    cfg = SphereOptConfig(hemisphere=hemisphere)
+    for m, res in zip(mats, maximize_batch(f, 6, cfg, derivatives)):
+        lam, vec = np.linalg.eigh(m)
+        # 12 cap rounds bring the radius to 1e-4; Newton finishes
+        assert res.refine_rounds == 12 and res.newton_steps >= 1
+        assert res.evaluations == 2000 + 12 * 64 + res.newton_steps
+        assert res.gradient_norm <= 1e-10
+        # at the top eigenvector the tangent Hessian is 2 (A - lam_max I) on the
+        # tangent plane, whose largest eigenvalue is 2 (lam_mid - lam_max)
+        assert res.hessian_max_eig == pytest.approx(2 * (lam[1] - lam[2]), rel=1e-9)
+        assert abs(res.value - lam[2]) <= 4e-15
+        assert min(np.abs(res.axis - vec[:, 2]).max(), np.abs(res.axis + vec[:, 2]).max()) <= 1e-12
+        if hemisphere:
+            assert res.axis[2] >= 0.0
+
+
+def _tangent_scaled(derivatives, factor):
+    """Derivatives whose tangent gradient is scaled by ``factor``."""
+
+    def scaled(z):
+        grad, hess = derivatives(z)
+        radial = np.einsum("ni,ni->n", grad, z)[:, None] * z
+        return radial + factor * (grad - radial), hess
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "kind, trials",
+    [
+        ("undefined", 0),
+        ("downhill", 1),  # the first trial is evaluated, rejected, not counted
+        ("overshooting", 0),  # steps past the polish radius are never tried
+    ],
+)
+def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
+    _, f, derivatives = _quadratic_batch(3, 131)
+    cfg = SphereOptConfig(hemisphere=True)
+
+    def undefined(z):
+        return np.full(z.shape, np.nan), np.full(z.shape + (3,), np.nan)
+
+    bad = {
+        "undefined": undefined,
+        "downhill": _tangent_scaled(derivatives, -1.0),
+        "overshooting": _tangent_scaled(derivatives, 1e3),
+    }[kind]
+    for polished, plain in zip(maximize_batch(f, 3, cfg, bad), maximize_batch(f, 3, cfg)):
+        assert polished.value == plain.value
+        assert np.array_equal(polished.axis, plain.axis)
+        assert polished.evaluations == plain.evaluations + trials
+        assert (polished.refine_rounds, polished.newton_steps) == (40, 0)
+        assert np.isnan(polished.hessian_max_eig)
