@@ -5,7 +5,7 @@ Subcommands
 compute   discord report for one state (JSON by default)
 curve     one-dimensional correlation-objective curve as CSV
 damp      damped discord and damping gap over a gamma grid as CSV
-verify    closed-form vs numeric-oracle deviation report
+verify    deviation of the closed forms discord_auto serves from the numeric oracle
 spectrum  eigenvalues and eigenvectors as JSON
 
 States enter either as ``--r x,y,z --s x,y,z --c x,y,z`` or as
@@ -26,19 +26,14 @@ import numpy as np
 from .channels import gamma_sweep
 from .density import BlochParams, build_state, entropic_h, hermitian_eigen
 from .discord import (
-    METHOD_AXIAL_FORMULA,
     METHOD_AXIAL_ZERO,
     METHOD_R0_ISOTROPIC,
     METHOD_S0_ISOTROPIC,
     METHOD_S0_PLANAR,
     _FAMILY_TOL,
     discord_auto,
-    discord_axial,
     discord_numeric,
     discord_numeric_batch,
-    discord_r0_isotropic,
-    discord_s0_isotropic,
-    discord_s0_planar,
     reduced_correlation_objective,
 )
 from .errors import (
@@ -81,6 +76,16 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
                 f"component {pos} ({part!r}) of {text!r} is not a number"
             ) from None
     return tuple(values)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def _parse_gamma_grid(text: str) -> np.ndarray:
@@ -243,84 +248,39 @@ def _cmd_spectrum(args, out) -> int:
     return EXIT_OK
 
 
-_VERIFY_FAMILIES = (
-    METHOD_S0_ISOTROPIC,
-    METHOD_R0_ISOTROPIC,
-    METHOD_AXIAL_ZERO,
-    METHOD_S0_PLANAR,
-    METHOD_AXIAL_FORMULA,
-)
+# Seeded sampler of each closed-form family that verify checks.
+_VERIFY_SAMPLERS = {
+    METHOD_S0_ISOTROPIC: draw_s0_isotropic,
+    METHOD_R0_ISOTROPIC: draw_r0_isotropic,
+    METHOD_AXIAL_ZERO: draw_axial_zero,
+    METHOD_S0_PLANAR: draw_s0_planar,
+}
 
 
-def _verify_family(name: str, rng, draws: int, cfg) -> tuple[float, int]:
-    """Worst |analytic - numeric| over seeded draws, and the number of
-    draws on which the closed form was undefined.
+def _verify_family(name: str, rng, draws: int, cfg) -> float:
+    """Worst |closed form - numeric| over seeded draws of one family.
 
-    All draws are taken first and the numeric oracle runs on them in one
-    batch; the generator is consumed exactly as by one draw at a time.
+    The closed-form value is the one ``discord_auto`` serves.  All draws
+    are taken first and the numeric oracle runs on them in one batch; the
+    generator is consumed exactly as by one draw at a time.
     """
-    states = []
-    analytic = []
-    undefined = 0
-    for _ in range(draws):
-        if name == METHOD_S0_ISOTROPIC:
-            params = draw_s0_isotropic(rng)
-            value = discord_s0_isotropic(params.r_norm, params.c[2])
-        elif name == METHOD_R0_ISOTROPIC:
-            params = draw_r0_isotropic(rng)
-            value = discord_r0_isotropic(params.s_norm, params.c[2])
-        elif name == METHOD_AXIAL_ZERO:
-            params = draw_axial_zero(rng)
-            value = 0.0
-        elif name == METHOD_S0_PLANAR:
-            params = draw_s0_planar(rng)
-            value = discord_s0_planar(params.r, params.c[0])
-        else:  # broken reference formula for the r=0 axial branch
-            params = draw_r0_isotropic(rng)
-            params = BlochParams(params.r, params.s, [0.0, 0.0, params.c[2]])
-            try:
-                value = discord_axial(params, use_reference_formula=True)
-            except DomainError:
-                undefined += 1
-                continue
-        states.append(params)
-        analytic.append(value)
+    states = [_VERIFY_SAMPLERS[name](rng) for _ in range(draws)]
     worst = 0.0
-    for value, report in zip(analytic, discord_numeric_batch(states, cfg)):
-        worst = max(worst, abs(value - report.discord))
-    return worst, undefined
+    for params, report in zip(states, discord_numeric_batch(states, cfg)):
+        worst = max(worst, abs(discord_auto(params, cfg).discord - report.discord))
+    return worst
 
 
 def _cmd_verify(args, out) -> int:
     cfg = _cfg_from_args(args)
-    families = args.families or [
-        f for f in _VERIFY_FAMILIES if f != METHOD_AXIAL_FORMULA
-    ]
     failed = False
     out.write(f"seed={args.seed} draws={args.draws} tolerance={_fmt(args.tolerance)}\n")
-    for name in families:
-        rng = np.random.default_rng(args.seed)
-        worst, undefined = _verify_family(name, rng, args.draws, cfg)
-        if name == METHOD_AXIAL_FORMULA:
-            # The reference closed form for this branch contradicts the
-            # product-state limit; it is reported but never gates.
-            note = f", undefined on {undefined} draws" if undefined else ""
-            out.write(
-                f"{name}: max deviation {_fmt(worst)}{note} "
-                "(expected failure: reference formula disagrees with the oracle)\n"
-            )
-            continue
+    for name in args.families or _VERIFY_SAMPLERS:
+        worst = _verify_family(name, np.random.default_rng(args.seed), args.draws, cfg)
         ok = worst <= args.tolerance
         failed = failed or not ok
         out.write(
             f"{name}: max deviation {_fmt(worst)} -> {'ok' if ok else 'FAIL'}\n"
-        )
-    if METHOD_AXIAL_FORMULA in families:
-        counter = BlochParams([0, 0, 0], [0.1, 0.1, 0.1], [0, 0, 0])
-        formula = discord_axial(counter, use_reference_formula=True)
-        out.write(
-            "axial-formula counterexample: product state has discord 0, "
-            f"formula gives {_fmt(formula)}\n"
         )
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -334,9 +294,9 @@ def _add_state_flags(sub) -> None:
 
 
 def _add_opt_flags(sub) -> None:
-    sub.add_argument("--grid-points", type=int, default=None,
+    sub.add_argument("--grid-points", type=_positive_int, default=None,
                      help="points of the first Fibonacci pass (default 2000)")
-    sub.add_argument("--refine-rounds", type=int, default=None,
+    sub.add_argument("--refine-rounds", type=_positive_int, default=None,
                      help="cap on the plain cap rounds of the sphere search (default 40); "
                      "the numeric discord runs them in full only for a state whose "
                      "maximum the Newton polish cannot certify")
@@ -360,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = subs.add_parser("curve", help="correlation-objective curve as CSV")
     _add_state_flags(p_curve)
-    p_curve.add_argument("--samples", type=int, default=100)
+    p_curve.add_argument("--samples", type=_positive_int, default=100)
 
     p_damp = subs.add_parser("damp", help="damped discord over a gamma grid as CSV")
     _add_state_flags(p_damp)
@@ -372,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="closed form vs numeric oracle")
     _add_opt_flags(p_verify)
     p_verify.add_argument(
-        "--families", nargs="*", choices=_VERIFY_FAMILIES, default=None
+        "--families", nargs="*", choices=tuple(_VERIFY_SAMPLERS), default=None
     )
-    p_verify.add_argument("--draws", type=int, default=100)
+    p_verify.add_argument("--draws", type=_positive_int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=float, default=1e-6)
 

@@ -9,11 +9,12 @@ the diagonal c = (c1, c2, c3) of the correlation tensor:
 in the product basis |00>, |01>, |10>, |11>.  This module provides the
 state constructor and its inverse, the PSD gate, partial traces, the von
 Neumann entropy and the two-parameter entropic function that underlies
-every closed form in the package.  Every eigenvalues-only need (the gate,
-``check_density_matrix``, ``von_neumann_entropy``) takes one LAPACK
-spectrum; the self-contained Jacobi eigensolver behind
-:func:`hermitian_eigen` serves full decompositions and is the independent
-algorithm the gate is checked against.  All logarithms are base 2.
+every closed form in the package.  Every spectrum comes from LAPACK:
+the eigenvalues-only needs (the gate, ``check_density_matrix``,
+``von_neumann_entropy``) from one ``eigvalsh`` call, full decompositions
+(:func:`hermitian_eigen`) from ``eigh`` with a deterministic phase and
+order convention.  Matrices from outside the family pass one shared gate
+for finite entries and Hermiticity first.  All logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    OutOfFamilyError,
-    PhysicalityError,
-)
+from .errors import DomainError, OutOfFamilyError, PhysicalityError
 
 IDENTITY2 = np.eye(2, dtype=complex)
 PAULI = (
@@ -41,8 +37,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 LOG_CLAMP = 1e-12
-_OFFDIAG_TARGET = 1e-13
-_MAX_SWEEPS = 100
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -128,8 +122,8 @@ def _gated_state(params: BlochParams) -> tuple[np.ndarray, np.ndarray]:
     :func:`build_state`.
 
     The matrix comes from :func:`_family_matrix`; the eigenvalues come
-    from LAPACK (:func:`_eigenvalues`) and agree with
-    ``hermitian_eigen(rho).eigenvalues`` within 4e-15.
+    from LAPACK (:func:`_eigenvalues`); the tests check them against an
+    independent Jacobi eigensolver within 4e-15.
     """
     # Python floats: arithmetic on numpy scalars would cost more than the
     # eigensolve.
@@ -206,16 +200,14 @@ def extract_bloch(rho: np.ndarray) -> BlochParams:
 def check_density_matrix(rho: np.ndarray) -> None:
     """Gate a matrix through the density-matrix invariants.
 
-    Hermiticity within 1e-12, unit trace within 1e-12 and smallest
-    eigenvalue above -1e-9, taken from the LAPACK spectrum of the
+    Finite entries, Hermiticity within 1e-12, unit trace within 1e-12 and
+    smallest eigenvalue above -1e-9, taken from the LAPACK spectrum of the
     Hermitian part.  Works for 2x2 and 4x4 inputs.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         raise PhysicalityError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
-    dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if dev > HERMITICITY_TOL:
-        raise PhysicalityError(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
+    _finite_hermitian(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise PhysicalityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
@@ -226,51 +218,16 @@ def check_density_matrix(rho: np.ndarray) -> None:
         )
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray) -> None:
-    """One cyclic sweep of complex Jacobi rotations, in place."""
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            m = abs(apq)
-            if m == 0.0:
-                continue
-            phase = apq / m
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * m)
-            if tau == 0.0:
-                t = 1.0
-            else:
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-            cth = 1.0 / np.sqrt(1.0 + t * t)
-            sth = t * cth
-            rot = np.eye(n, dtype=complex)
-            rot[p, p] = cth
-            rot[p, q] = sth
-            rot[q, p] = -sth * np.conj(phase)
-            rot[q, q] = cth * np.conj(phase)
-            a[:] = rot.conj().T @ a @ rot
-            v[:] = v @ rot
-
-
-def _jacobi_decompose(rho: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    a = 0.5 * (np.asarray(rho, dtype=complex) + np.asarray(rho, dtype=complex).conj().T)
-    v = np.eye(a.shape[0], dtype=complex)
-    for sweep in range(max_sweeps + 1):
-        off = _offdiag_norm(a)
-        if off < _OFFDIAG_TARGET:
-            return np.diag(a).real.copy(), v
-        if sweep == max_sweeps:
-            raise ConvergenceError(
-                f"off-diagonal norm {off:.3e} above {_OFFDIAG_TARGET}"
-                f" after {max_sweeps} sweeps"
-            )
-        _jacobi_sweep(a, v)
-    raise AssertionError("unreachable")
+def _finite_hermitian(rho) -> np.ndarray:
+    """The input as an array, after the gates every spectrum route shares:
+    finite entries, and Hermiticity within 1e-12."""
+    rho = np.asarray(rho)
+    if not np.all(np.isfinite(rho)):
+        raise PhysicalityError("matrix has non-finite entries")
+    dev = float(np.max(np.abs(rho - rho.conj().T)))
+    if dev > HERMITICITY_TOL:
+        raise PhysicalityError(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
+    return rho
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -280,30 +237,22 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def hermitian_eigen(rho: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
-    """Full spectral decomposition by cyclic complex Jacobi rotations.
+def hermitian_eigen(rho: np.ndarray) -> Spectrum:
+    """Full spectral decomposition of the Hermitian part (rho + rho^H)/2,
+    by LAPACK (``numpy.linalg.eigh``).
 
-    The package's own eigenvalue needs go through LAPACK; this solver
-    serves callers that want eigenvectors (the ``spectrum`` command) and
-    is the independent algorithm the PSD gate is tested against.
-
-    The rotation order is fixed, the off-diagonal Frobenius target is
-    1e-13 and the sweep budget defaults to 100, so the output is fully
-    deterministic.  Eigenvalues come out sorted descending; exact ties are
-    ordered by the lexicographically larger phase-fixed eigenvector.
+    Eigenvalues come out sorted descending; exact ties are ordered by the
+    lexicographically larger phase-fixed eigenvector, so the output is
+    fully deterministic.
 
     Raises
     ------
     PhysicalityError
-        If the input deviates from Hermitian by more than 1e-12.
-    ConvergenceError
-        If the off-diagonal norm does not reach the target in budget.
+        If an entry is not finite or the input deviates from Hermitian by
+        more than 1e-12.
     """
-    rho = np.asarray(rho)
-    dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if dev > HERMITICITY_TOL:
-        raise PhysicalityError(f"input is not Hermitian (deviation {dev:.3e})")
-    lam, vecs = _jacobi_decompose(rho, max_sweeps)
+    rho = _finite_hermitian(rho).astype(complex)
+    lam, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     cols = [_fix_phase(vecs[:, i].copy()) for i in range(len(lam))]
 
     def sort_key(i: int):
@@ -362,9 +311,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Hermitian part of rho.
 
     Eigenvalues in [-1e-9, 0) are treated as rounding noise and clamped
-    to zero; anything lower raises ``PhysicalityError``.
+    to zero; anything lower, a non-finite entry or a deviation from
+    Hermitian above 1e-12 raises ``PhysicalityError``.
     """
-    lam = _eigenvalues(rho)
+    lam = _eigenvalues(_finite_hermitian(rho))
     smallest = float(lam[-1])
     if smallest < EIGENVALUE_FLOOR:
         raise PhysicalityError(

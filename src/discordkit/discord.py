@@ -37,10 +37,9 @@ METHOD_S0_ISOTROPIC_C_EQ_R = "s0-isotropic-c-eq-r"
 METHOD_WERNER = "werner"
 METHOD_R0_ISOTROPIC = "r0-isotropic"
 METHOD_AXIAL_ZERO = "axial-zero"
-METHOD_AXIAL_FORMULA = "axial-formula"
 METHOD_S0_PLANAR = "s0-planar"
 
-# Tolerance of every family predicate, here and in the CLI's verify.
+# Tolerance of every family predicate, here and in the CLI's curve.
 _FAMILY_TOL = 1e-12
 # States per lockstep search in discord_numeric_batch.
 _BATCH_BLOCK = 32
@@ -201,20 +200,12 @@ def discord_r0_isotropic(s_norm: float, c: float) -> float:
     return 0.5 * entropic_h(-c, big) - 0.5 * entropic_h(-c, s_norm)
 
 
-def discord_axial(
-    params: BlochParams,
-    cfg: SphereOptConfig | None = None,
-    use_reference_formula: bool = False,
-) -> float:
+def discord_axial(params: BlochParams, cfg: SphereOptConfig | None = None) -> float:
     """Discord for the single-axis correlation family ``c1 = c2 = 0``.
 
     Requires ``|s| = 0`` or ``|r| = 0``.  With ``s = 0`` the state is
-    quantum-classical and the discord is exactly zero.  With ``r = 0`` the
-    default is the numeric value (the reliable answer for this branch);
-    ``use_reference_formula=True`` instead evaluates the reference closed
-    form H_0(|s| / sqrt(s1^2 + s2^2 + (c3+s3)^2)), which is known to
-    contradict the product-state limit (it gives 1 where the discord is 0)
-    and is exposed for comparison only.
+    quantum-classical and the discord is exactly zero.  With ``r = 0`` no
+    closed form is known to hold, so the value is the numeric one.
     """
     if abs(params.c[0]) > _FAMILY_TOL or abs(params.c[1]) > _FAMILY_TOL:
         raise FamilyError("axial family requires c1 = c2 = 0")
@@ -222,12 +213,6 @@ def discord_axial(
         return 0.0
     if params.r_norm > _FAMILY_TOL:
         raise FamilyError("axial family requires |s| = 0 or |r| = 0")
-    if use_reference_formula:
-        s = params.s
-        denom = np.sqrt(s[0] ** 2 + s[1] ** 2 + (params.c[2] + s[2]) ** 2)
-        if denom <= _FAMILY_TOL:
-            raise DomainError("reference axial formula undefined: zero denominator")
-        return entropic_h(0.0, params.s_norm / denom)
     return discord_numeric(params, cfg).discord
 
 
@@ -282,9 +267,6 @@ def mutual_information(params: BlochParams) -> float:
     spectrum of the state.
     """
     return _mutual_information(params, _gated_state(params)[1])
-
-
-mutual_information_expanded = mutual_information
 
 
 def _discord_cfg(cfg: SphereOptConfig | None) -> SphereOptConfig:

@@ -14,10 +14,6 @@ class OutOfFamilyError(DiscordKitError):
     represented by the diagonal Bloch parametrization."""
 
 
-class ConvergenceError(DiscordKitError):
-    """Iterative eigensolver failed to reach its off-diagonal target."""
-
-
 class DomainError(DiscordKitError):
     """Argument outside the mathematical domain of a closed-form expression."""
 

@@ -1,10 +1,14 @@
 """Independent reference implementations for pinning expected values.
 
 Everything here deliberately avoids the package's sphere optimizer: sphere
-maxima come from a dense Fibonacci scan polished with scipy.  The package's
-PSD gate and entropies take numpy spectra, so the independent check on
-them is the package's own Jacobi solver (``hermitian_eigen``), and
-``kron_state`` is the nine-Kronecker-product form of the state matrix.
+maxima come from a dense Fibonacci scan polished with scipy.  Every
+spectrum in the package comes from LAPACK, so the independent check on
+the PSD gate, the entropies and ``hermitian_eigen`` is a self-contained
+cyclic complex Jacobi eigensolver (``jacobi_eigen``) with the same phase
+and order convention, and ``kron_state`` is the nine-Kronecker-product
+form of the state matrix.  ``axial_reference_formula`` is a published
+closed form for the r = 0 axial branch that is known to be wrong (it
+gives 1 on a product state); it is kept only as a counterexample.
 Frozen regression constants in the test modules were produced by these
 routines.  The phase-damped objective and mutual information are written
 out by hand from the undamped parameters, independently of the package's
@@ -28,6 +32,107 @@ from discordkit.density import IDENTITY2, PAULI
 def eigh_spectrum(rho: np.ndarray) -> np.ndarray:
     """Descending spectrum via numpy (reference for the Jacobi solver)."""
     return np.linalg.eigvalsh(rho)[::-1]
+
+
+_OFFDIAG_TARGET = 1e-13
+_MAX_SWEEPS = 100
+
+
+def _offdiag_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+
+
+def _jacobi_sweep(a: np.ndarray, v: np.ndarray) -> None:
+    """One cyclic sweep of complex Jacobi rotations, in place."""
+    n = a.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = a[p, q]
+            m = abs(apq)
+            if m == 0.0:
+                continue
+            phase = apq / m
+            tau = (a[q, q].real - a[p, p].real) / (2.0 * m)
+            if tau == 0.0:
+                t = 1.0
+            else:
+                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
+            cth = 1.0 / np.sqrt(1.0 + t * t)
+            sth = t * cth
+            rot = np.eye(n, dtype=complex)
+            rot[p, p] = cth
+            rot[p, q] = sth
+            rot[q, p] = -sth * np.conj(phase)
+            rot[q, q] = cth * np.conj(phase)
+            a[:] = rot.conj().T @ a @ rot
+            v[:] = v @ rot
+
+
+def _jacobi_decompose(rho: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    a = 0.5 * (np.asarray(rho, dtype=complex) + np.asarray(rho, dtype=complex).conj().T)
+    v = np.eye(a.shape[0], dtype=complex)
+    for sweep in range(max_sweeps + 1):
+        off = _offdiag_norm(a)
+        if off < _OFFDIAG_TARGET:
+            return np.diag(a).real.copy(), v
+        if sweep == max_sweeps:
+            raise RuntimeError(
+                f"off-diagonal norm {off:.3e} above {_OFFDIAG_TARGET}"
+                f" after {max_sweeps} sweeps"
+            )
+        _jacobi_sweep(a, v)
+    raise AssertionError("unreachable")
+
+
+def _phase_fixed(vec: np.ndarray) -> np.ndarray:
+    for comp in vec:
+        if abs(comp) > 1e-12:
+            return vec * (np.conj(comp) / abs(comp))
+    return vec
+
+
+def jacobi_eigen(
+    rho: np.ndarray, max_sweeps: int = _MAX_SWEEPS
+) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the Hermitian part of ``rho`` by
+    cyclic complex Jacobi rotations, in the convention of
+    ``hermitian_eigen``: eigenvalues descending, each eigenvector's first
+    component above 1e-12 in magnitude real and positive, exact ties
+    ordered by the lexicographically larger eigenvector.
+
+    The rotation order is fixed and the off-diagonal Frobenius target is
+    1e-13; ``RuntimeError`` when the sweep budget runs out first.
+    """
+    lam, vecs = _jacobi_decompose(rho, max_sweeps)
+    cols = [_phase_fixed(vecs[:, i].copy()) for i in range(len(lam))]
+
+    def sort_key(i: int):
+        flat = []
+        for comp in cols[i]:
+            flat.extend((-comp.real, -comp.imag))
+        return (-lam[i], tuple(flat))
+
+    order = sorted(range(len(lam)), key=sort_key)
+    return np.array([lam[i] for i in order]), np.column_stack([cols[i] for i in order])
+
+
+def axial_reference_formula(params: BlochParams) -> float:
+    """The published closed form for the r = 0, c1 = c2 = 0 branch,
+
+        Q = H_0(|s| / sqrt(s1^2 + s2^2 + (c3 + s3)^2)),
+
+    which contradicts the product-state limit (1 where the discord is 0).
+    ``ValueError`` where it is undefined: a zero denominator, or an
+    argument of H_0 above 1."""
+    s = params.s
+    denom = float(np.sqrt(s[0] ** 2 + s[1] ** 2 + (params.c[2] + s[2]) ** 2))
+    if denom <= 1e-12:
+        raise ValueError("axial reference formula undefined: zero denominator")
+    x = params.s_norm / denom
+    if x > 1.0 + 1e-12:
+        raise ValueError(f"axial reference formula undefined: H_0 argument {x:.3e}")
+    return _entropic_h(0.0, x)
 
 
 def kron_state(params: BlochParams) -> np.ndarray:

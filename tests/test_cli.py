@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from discordkit import cli, discord_auto
 from discordkit.cli import main
 
 REF_A_FLAGS = ["--r", "0,0,0", "--s", "0.1,0.2,0.2", "--c", "0.3,0.3,0.3"]
@@ -108,6 +109,26 @@ def test_compute_non_numeric_component_exits_2(capsys):
                            "--c", "0,0,0")
     assert code == 2
     assert "component 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", *REF_A_FLAGS, "--grid-points", "0"],
+        ["compute", *REF_A_FLAGS, "--refine-rounds", "0"],
+        ["curve", *REF_A_FLAGS, "--samples", "-1"],
+        ["verify", "--draws", "-3"],
+        ["damp", *REF_B_FLAGS, "--gamma-grid", "0:1:0.5", "--grid-points", "x"],
+    ],
+    ids=["grid-points", "refine-rounds", "samples", "draws", "non-integer"],
+)
+def test_non_positive_integer_flags_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert "expected a positive integer" in line or "expected an integer" in line
 
 
 def test_compute_unphysical_exits_1(capsys):
@@ -255,14 +276,22 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
-def test_verify_reports_expected_failure_entry(capsys):
-    code, out, _ = run_cli(
+def test_verify_rejects_the_removed_axial_formula_family(capsys):
+    code, out, err = run_cli(
         capsys, "verify", "--draws", "3", "--families", "axial-formula"
     )
-    assert code == 0
-    assert "expected failure" in out
-    assert "counterexample" in out
-    assert "formula gives 1" in out
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'axial-formula'" in err
+
+
+@pytest.mark.parametrize("family", ["s0-isotropic", "r0-isotropic", "axial-zero", "s0-planar"])
+def test_verify_draws_dispatch_to_their_family(family):
+    """Each family's seeded draws reach that family's closed form, so verify
+    checks the route ``compute`` serves."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        assert discord_auto(cli._VERIFY_SAMPLERS[family](rng)).method == family
 
 
 def test_verify_fails_on_impossible_tolerance(capsys):
@@ -275,13 +304,13 @@ def test_verify_fails_on_impossible_tolerance(capsys):
 
 
 def test_verify_matches_one_draw_at_a_time(capsys):
-    """Batched verify consumes the generator as serial draws do."""
-    from discordkit import BlochParams, discord_axial, discord_numeric, discord_s0_planar
-    from discordkit.errors import DomainError
+    """Batched verify consumes the generator as serial draws do, and its
+    values are the closed forms against the oracle one state at a time."""
+    from discordkit import discord_numeric, discord_r0_isotropic, discord_s0_planar
     from discordkit.sampling import draw_r0_isotropic, draw_s0_planar
 
     _, out, _ = run_cli(capsys, "verify", "--draws", "6", "--seed", "5",
-                        "--families", "s0-planar", "axial-formula")
+                        "--families", "s0-planar", "r0-isotropic")
     rng = np.random.default_rng(5)
     planar = 0.0
     for _ in range(6):
@@ -289,17 +318,12 @@ def test_verify_matches_one_draw_at_a_time(capsys):
         deviation = discord_s0_planar(p.r, p.c[0]) - discord_numeric(p).discord
         planar = max(planar, abs(deviation))
     rng = np.random.default_rng(5)
-    formula, undefined = 0.0, 0
+    iso = 0.0
     for _ in range(6):
         p = draw_r0_isotropic(rng)
-        p = BlochParams(p.r, p.s, [0.0, 0.0, p.c[2]])
-        try:
-            value = discord_axial(p, use_reference_formula=True)
-        except DomainError:
-            undefined += 1
-            continue
-        formula = max(formula, abs(value - discord_numeric(p).discord))
+        deviation = discord_r0_isotropic(p.s_norm, p.c[2]) - discord_numeric(p).discord
+        iso = max(iso, abs(deviation))
     lines = out.splitlines()
     assert lines[1] == f"s0-planar: max deviation {format(planar, '.17g')} -> ok"
-    assert lines[2].startswith(f"axial-formula: max deviation {format(formula, '.17g')}")
-    assert undefined > 0 and f"undefined on {undefined} draws" in lines[2]
+    assert lines[2] == f"r0-isotropic: max deviation {format(iso, '.17g')} -> ok"
+    assert len(lines) == 3

@@ -1,5 +1,6 @@
-"""Tests for state construction, the PSD gate, the Jacobi eigensolver,
-partial traces, entropies and the entropic function."""
+"""Tests for state construction, the PSD gate, the finite-Hermitian gate,
+the eigendecomposition against the Jacobi oracle, partial traces,
+entropies and the entropic function."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from discordkit import (
     BlochParams,
-    ConvergenceError,
     DomainError,
     OutOfFamilyError,
+    PhaseDamping,
     PhysicalityError,
+    apply_kraus,
     build_state,
+    check_density_matrix,
     entropic_h,
     extract_bloch,
     hermitian_eigen,
@@ -21,13 +24,15 @@ from discordkit import (
     von_neumann_entropy,
 )
 from discordkit import density
-from discordkit.density import EIGENVALUE_FLOOR, PAULI
+from discordkit.density import PAULI
 from discordkit.discord import C_EQ_R_MAX
 from discordkit.sampling import draw_general_batch
 
-from _oracles import eigh_spectrum, kron_state
+from _oracles import eigh_spectrum, jacobi_eigen, kron_state
 
 SINGLET = BlochParams([0, 0, 0], [0, 0, 0], [-1, -1, -1])
+# The documented PSD gate, pinned here rather than read from the package.
+EIGENVALUE_FLOOR = -1e-9
 
 
 def test_pauli_trace_orthonormality():
@@ -73,7 +78,7 @@ def _scaled_toward_mixed(direction, target: float) -> BlochParams:
     """t * (r, s, c) with Jacobi lambda_min near ``target``: the state is
     I/4 + t D, so every eigenvalue moves linearly in t."""
     d = BlochParams(direction[:3], direction[3:6], direction[6:])
-    mu = hermitian_eigen(kron_state(d)).eigenvalues[-1] - 0.25
+    mu = jacobi_eigen(kron_state(d))[0][-1] - 0.25
     assume(mu < -1e-3)
     t = (target - 0.25) / mu
     return BlochParams(t * d.r, t * d.s, t * d.c)
@@ -95,7 +100,7 @@ def test_build_state_equals_kron_sum(direction, target):
 def test_gate_spectrum_matches_jacobi(direction, target):
     params = _scaled_toward_mixed(direction, target)
     lam = density._gated_state(params)[1]
-    oracle = hermitian_eigen(build_state(params)).eigenvalues
+    oracle = jacobi_eigen(build_state(params))[0]
     assert np.max(np.abs(lam - oracle)) <= 4e-15
 
 
@@ -103,7 +108,7 @@ def test_gate_spectrum_matches_jacobi(direction, target):
 @given(_DIRECTIONS, st.floats(-2e-9, 1e-9))
 def test_gate_decision_matches_jacobi_lambda_min(direction, target):
     params = _scaled_toward_mixed(direction, target)
-    lam_min = hermitian_eigen(kron_state(params)).eigenvalues[-1]
+    lam_min = jacobi_eigen(kron_state(params))[0][-1]
     assume(abs(lam_min - EIGENVALUE_FLOOR) > 1e-13)
     if lam_min < EIGENVALUE_FLOOR:
         with pytest.raises(PhysicalityError):
@@ -219,10 +224,30 @@ def test_hermitian_eigen_determinism():
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
 
-def test_hermitian_eigen_budget_exhaustion():
+def test_jacobi_oracle_budget_exhaustion():
     rho = build_state(BlochParams([0, 0, 0], [0.1, 0.2, 0.2], [0.3, 0.3, 0.3]))
-    with pytest.raises(ConvergenceError):
-        hermitian_eigen(rho, max_sweeps=0)
+    with pytest.raises(RuntimeError, match="after 0 sweeps"):
+        jacobi_eigen(rho, max_sweeps=0)
+
+
+def test_hermitian_eigen_matches_jacobi_oracle(ref_state_a, ref_state_b):
+    # Simple spectra only (eigenvalues at least 1e-3 apart): on a degenerate
+    # eigenspace the two solvers may pick different bases.  The oracle stops
+    # at off-diagonal norm 1e-13, so its eigenvectors carry an error up to
+    # about 1e-13 / gap (measured 2.1e-12 at gap 0.064).
+    rng = np.random.default_rng(41)
+    params = [ref_state_a, ref_state_b] + draw_general_batch(rng, 200)
+    checked = 0
+    for rho in (build_state(p) for p in params):
+        gap = np.min(-np.diff(eigh_spectrum(rho)))
+        if gap < 1e-3:
+            continue
+        decomp = hermitian_eigen(rho)
+        lam, vecs = jacobi_eigen(rho)
+        assert np.max(np.abs(decomp.eigenvalues - lam)) <= 4e-15
+        assert np.max(np.abs(decomp.eigenvectors - vecs)) <= 1e-12 + 1e-13 / gap
+        checked += 1
+    assert checked >= 150
 
 
 def test_hermitian_eigen_rejects_non_hermitian():
@@ -230,6 +255,32 @@ def test_hermitian_eigen_rejects_non_hermitian():
     bad[0, 1] = 1e-6
     with pytest.raises(PhysicalityError):
         hermitian_eigen(bad)
+
+
+_NON_FINITE_GATED = {
+    "check_density_matrix": check_density_matrix,
+    "apply_kraus": lambda rho: apply_kraus(rho, PhaseDamping(0.3)),
+    "von_neumann_entropy": von_neumann_entropy,
+    "hermitian_eigen": hermitian_eigen,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_GATED))
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_entries_are_unphysical(name, entry, value):
+    rho = np.eye(4, dtype=complex) / 4
+    i, j = entry
+    rho[i, j] = rho[j, i] = value
+    with pytest.raises(PhysicalityError, match="non-finite"):
+        _NON_FINITE_GATED[name](rho)
+
+
+def test_entropy_rejects_non_hermitian():
+    bad = np.eye(2, dtype=complex) / 2
+    bad[0, 1] = 1e-6
+    with pytest.raises(PhysicalityError, match="Hermiticity"):
+        von_neumann_entropy(bad)
 
 
 def test_partial_trace_maximally_mixed():

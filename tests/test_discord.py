@@ -29,7 +29,6 @@ from discordkit import (
     entropic_h,
     maximize_correlation_objective,
     mutual_information,
-    mutual_information_expanded,
     partial_trace,
     reduced_correlation_objective,
     theta_range,
@@ -57,7 +56,12 @@ from discordkit.sampling import (
     draw_s0_planar,
 )
 
-from _oracles import discord_reference, mutual_information_reference, serial_sphere_search
+from _oracles import (
+    axial_reference_formula,
+    discord_reference,
+    mutual_information_reference,
+    serial_sphere_search,
+)
 
 SINGLET = BlochParams([0, 0, 0], [0, 0, 0], [-1, -1, -1])
 
@@ -113,10 +117,11 @@ def test_mutual_information_reference(ref_state_a, ref_state_b):
 
 
 def test_mutual_information_expanded_agrees():
-    """The expanded form against S(rho_a) + S(rho_b) - S(rho) from numpy."""
+    """The expanded form of ``mutual_information`` against
+    S(rho_a) + S(rho_b) - S(rho) from numpy."""
     rng = np.random.default_rng(113)
     for params in draw_general_batch(rng, 100):
-        assert mutual_information_expanded(params) == pytest.approx(
+        assert mutual_information(params) == pytest.approx(
             mutual_information_reference(params), abs=1e-10
         )
 
@@ -256,12 +261,33 @@ def test_axial_zero_branch():
 
 
 def test_axial_formula_contradicts_product_state():
-    # a product state has no quantum correlation at all, yet the retained
-    # reference formula evaluates to 1 on it; the default path returns the
-    # oracle value instead
+    # a product state has no quantum correlation at all, yet the published
+    # r = 0 axial formula (kept in the test oracles) evaluates to 1 on it;
+    # discord_axial returns the numeric value instead
     params = BlochParams([0, 0, 0], [0.1, 0.1, 0.1], [0, 0, 0])
-    assert discord_axial(params, use_reference_formula=True) == pytest.approx(1.0)
+    assert axial_reference_formula(params) == pytest.approx(1.0)
     assert discord_axial(params) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_axial_formula_fails_against_the_oracle():
+    # seeded r = 0 axial states (uniform-c draws with c1 = c2 zeroed): the
+    # published formula is undefined on some and off by far more than the
+    # verify tolerance on the rest
+    rng = np.random.default_rng(0)
+    states = []
+    for _ in range(20):
+        p = draw_r0_isotropic(rng)
+        states.append(BlochParams(p.r, p.s, [0.0, 0.0, p.c[2]]))
+    worst, undefined = 0.0, 0
+    for params, report in zip(states, discord_numeric_batch(states)):
+        try:
+            value = axial_reference_formula(params)
+        except ValueError:
+            undefined += 1
+            continue
+        worst = max(worst, abs(value - report.discord))
+    assert 0 < undefined < len(states)
+    assert worst > 0.1
 
 
 def test_axial_second_branch_oracle_fixture(ref_state_a):
@@ -306,8 +332,10 @@ def test_planar_rejects_outside_family():
         discord_s0_planar([0.9, 0.0, 0.0], 0.6)
 
 
-def test_numeric_product_state_zero():
-    # |r| + |s| <= 1 keeps the zero-c family physical
+def test_numeric_quantum_classical_states_zero():
+    # c = 0 with both marginals polarized: correlated (not a product), but
+    # classical on b, so the discord vanishes; |r| + |s| <= 1 keeps the
+    # zero-c family physical
     rng = np.random.default_rng(157)
     for _ in range(10):
         params = BlochParams(
@@ -509,15 +537,17 @@ def _assert_same_report(a: DiscordReport, b: DiscordReport) -> None:
 def test_numeric_batch_equals_one_state_at_a_time():
     rng = np.random.default_rng(239)
     werner = BlochParams([0, 0, 0], [0, 0, 0], [0.2, 0.2, 0.2])  # flat objective
-    product = BlochParams([0.1, -0.2, 0.3], [0.2, 0.1, -0.1], [0, 0, 0])
+    # c = 0 with both marginals polarized: correlated, but classical on b
+    classical_on_b = BlochParams([0.1, -0.2, 0.3], [0.2, 0.1, -0.1], [0, 0, 0])
+    product = BlochParams([0, 0, 0.3], [0, 0, 0.4], [0, 0, 0.12])  # flat objective
     k = C_EQ_R_MAX + 1e-10
     boundary = BlochParams([0, 0, k], [0, 0, 0], [k, k, k])
     assert -1e-9 <= density._gated_state(boundary)[1][-1] < 0.0
-    # 33 states: two lockstep blocks
-    states = draw_general_batch(rng, 20) + [werner, product, boundary]
+    # 34 states: two lockstep blocks
+    states = draw_general_batch(rng, 20) + [werner, classical_on_b, product, boundary]
     states += draw_general_batch(rng, 10)
     batch = discord_numeric_batch(iter(states))
-    assert len(batch) == 33
+    assert len(batch) == 34
     for params, report in zip(states, batch):
         _assert_same_report(report, discord_numeric(params))
 
