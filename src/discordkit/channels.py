@@ -19,7 +19,7 @@ import numpy as np
 from .density import BlochParams, check_density_matrix, _xlog2
 from .discord import (
     DiscordReport,
-    _check_eigenvalues,
+    _check_werner,
     discord_numeric,
     discord_numeric_batch,
     discord_s0_planar,
@@ -113,7 +113,7 @@ def werner_damped_gap(c: float, gamma: float) -> float:
 
     Nonnegative, zero at gamma = 0 and nondecreasing in gamma.
     """
-    _check_eigenvalues(0.25 * np.array([1.0 + c, 1.0 - 3.0 * c]), "Werner")
+    _check_werner(c)
     g = PhaseDamping(gamma).gamma
     terms = np.array(
         [1.0 + c, 1.0 - 3.0 * c, 1.0 - 3.0 * c + 2.0 * c * g, 1.0 + c - 2.0 * c * g]
@@ -127,7 +127,7 @@ def werner_damped_gap_dgamma(c: float, gamma: float) -> float:
 
         dT/dgamma = (c/2) log2( (1+c-2cg) / (1-3c+2cg) )
     """
-    _check_eigenvalues(0.25 * np.array([1.0 + c, 1.0 - 3.0 * c]), "Werner")
+    _check_werner(c)
     g = PhaseDamping(gamma).gamma
     num = 1.0 + c - 2.0 * c * g
     den = 1.0 - 3.0 * c + 2.0 * c * g

@@ -29,12 +29,15 @@ from .discord import (
     METHOD_AXIAL_ZERO,
     METHOD_R0_ISOTROPIC,
     METHOD_S0_ISOTROPIC,
+    METHOD_S0_ISOTROPIC_C_EQ_R,
     METHOD_S0_PLANAR,
-    _FAMILY_TOL,
+    METHOD_WERNER,
+    _analytic_dispatch,
     discord_auto,
     discord_numeric,
     discord_numeric_batch,
     reduced_correlation_objective,
+    theta_range,
 )
 from .errors import (
     DiscordKitError,
@@ -78,14 +81,22 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     return tuple(values)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _bounded(kind, low, expected: str):
+    """Argparse type: ``kind(text)`` of at least ``low``, which NaN never is."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _bounded(int, 1, "a positive integer")
 
 
 def _parse_gamma_grid(text: str) -> np.ndarray:
@@ -180,30 +191,17 @@ def _cmd_compute(args, out) -> int:
 
 
 def _curve_rows(params: BlochParams, samples: int):
-    c = params.c
-    if params.s_norm > _FAMILY_TOL and not (
-        abs(c[0] - c[1]) <= _FAMILY_TOL and abs(c[1] - c[2]) <= _FAMILY_TOL
-    ):
-        raise FamilyError("curve needs a uniform or in-plane correlation diagonal")
-    iso = abs(c[0] - c[1]) <= _FAMILY_TOL and abs(c[1] - c[2]) <= _FAMILY_TOL
-    if iso:
-        r_norm, cc = params.r_norm, c[2]
-        if abs(cc) <= _FAMILY_TOL:
-            theta = np.array([r_norm**2])
-        else:
-            total = 2.0 * (r_norm**2 + cc**2)
-            lo, hi = max(0.0, total - 1.0), min(1.0, total)
-            theta = np.linspace(lo, hi, samples)
+    build_state(params)  # gates physicality first
+    method = (_analytic_dispatch(params) or (None,))[0]
+    if method in (METHOD_WERNER, METHOD_S0_ISOTROPIC, METHOD_S0_ISOTROPIC_C_EQ_R):
+        r_norm, cc = params.r_norm, params.c[2]
+        lo, hi = theta_range(r_norm, cc)
+        theta = np.linspace(lo, hi, samples) if lo < hi else np.array([lo])
         return theta, reduced_correlation_objective(theta, r_norm, cc)
-    planar = (
-        params.s_norm <= _FAMILY_TOL
-        and abs(c[2]) <= _FAMILY_TOL
-        and abs(c[0] - c[1]) <= _FAMILY_TOL
-    )
-    if not planar:
-        raise FamilyError("curve needs a uniform or in-plane correlation diagonal")
+    if method != METHOD_S0_PLANAR:
+        raise FamilyError("curve needs s = 0 and a uniform or in-plane correlation diagonal")
     # in-plane family: scan the extremal path z = (t rhat_12, 0)
-    r, cc = params.r, c[0]
+    r, cc = params.r, params.c[0]
     rho12 = float(np.hypot(r[0], r[1]))
     t = np.linspace(-1.0, 1.0, samples)
     theta = (rho12 + cc * t) ** 2 + r[2] ** 2
@@ -335,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--families", nargs="*", choices=tuple(_VERIFY_SAMPLERS), default=None
     )
     p_verify.add_argument("--draws", type=_positive_int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tolerance", type=float, default=1e-6)
+    p_verify.add_argument("--seed", type=_bounded(int, 0, "a non-negative integer"), default=0)
+    p_verify.add_argument("--tolerance", type=_bounded(float, 0, "a non-negative number"),
+                          default=1e-6)
 
     p_spectrum = subs.add_parser("spectrum", help="eigenvalues and eigenvectors as JSON")
     _add_state_flags(p_spectrum)

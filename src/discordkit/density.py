@@ -166,6 +166,25 @@ def _eigenvalues(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[::-1].copy()
 
 
+def _isotropic_spectrum(norm: float, c: float) -> np.ndarray:
+    """Eigenvalues of the uniform-c state whose one nonzero marginal
+    (r, or s) has length ``norm``:
+    (1+c+-norm, 1-c+-sqrt(4c^2+norm^2))/4, unsorted."""
+    big = np.sqrt(4 * c * c + norm * norm)
+    return 0.25 * np.array([1 + c + norm, 1 + c - norm, 1 - c + big, 1 - c - big])
+
+
+def _planar_radii(r, c: float) -> tuple[float, float]:
+    """Radii a+- = sqrt(2c^2 + |r|^2 +- 2 sqrt(c^4 + c^2 (r1^2 + r2^2))) of the
+    s = 0, c3 = 0, c1 = c2 = c state, whose eigenvalues are (1 +- a+-)/4."""
+    r_sq = float(r @ r)
+    inner = np.sqrt(c**4 + c**2 * (r[0] ** 2 + r[1] ** 2))
+    return (
+        np.sqrt(2 * c**2 + r_sq + 2 * inner),
+        np.sqrt(max(2 * c**2 + r_sq - 2 * inner, 0.0)),
+    )
+
+
 def extract_bloch(rho: np.ndarray) -> BlochParams:
     """Recover (r, s, c) from a physical family state via Pauli expectations.
 

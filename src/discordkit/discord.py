@@ -25,6 +25,8 @@ from .density import (
     BlochParams,
     entropic_h,
     _gated_state,
+    _isotropic_spectrum,
+    _planar_radii,
     _xlog2,
 )
 from .errors import DomainError, FamilyError
@@ -39,7 +41,7 @@ METHOD_R0_ISOTROPIC = "r0-isotropic"
 METHOD_AXIAL_ZERO = "axial-zero"
 METHOD_S0_PLANAR = "s0-planar"
 
-# Tolerance of every family predicate, here and in the CLI's curve.
+# Tolerance of every family predicate.
 _FAMILY_TOL = 1e-12
 # States per lockstep search in discord_numeric_batch.
 _BATCH_BLOCK = 32
@@ -126,15 +128,7 @@ def discord_s0_isotropic(r_norm: float, c: float) -> float:
     """
     if r_norm < 0:
         raise ValueError("r_norm must be nonnegative")
-    lam = 0.25 * np.array(
-        [
-            1 + c + r_norm,
-            1 + c - r_norm,
-            1 - c + np.sqrt(4 * c**2 + r_norm**2),
-            1 - c - np.sqrt(4 * c**2 + r_norm**2),
-        ]
-    )
-    _check_eigenvalues(lam, "s0-isotropic")
+    _check_eigenvalues(_isotropic_spectrum(r_norm, c), "s0-isotropic")
     if r_norm == 0.0:
         return werner_discord(c)
     if c == r_norm:
@@ -147,6 +141,11 @@ def discord_s0_isotropic(r_norm: float, c: float) -> float:
     )
 
 
+def _check_werner(c: float) -> None:
+    # The Werner state is the |r| = 0 point of the uniform-c spectrum.
+    _check_eigenvalues(_isotropic_spectrum(0.0, c), "Werner")
+
+
 def werner_discord(c: float) -> float:
     """Discord of the Werner member ``r = s = 0``, ``c1 = c2 = c3 = c``:
 
@@ -155,7 +154,7 @@ def werner_discord(c: float) -> float:
     valid on the PSD range c in [-1, 1/3] (eigenvalues (1+c)/4, three
     times, and (1-3c)/4).
     """
-    _check_eigenvalues(0.25 * np.array([1.0 + c, 1.0 - 3.0 * c]), "Werner")
+    _check_werner(c)
     return 0.25 * float(
         _xlog2(np.array(1.0 - 3.0 * c))
         - 2.0 * _xlog2(np.array(1.0 - c))
@@ -174,10 +173,7 @@ def discord_s0_isotropic_c_eq_r(c: float) -> float:
     if not c > 0.0:
         raise DomainError(f"c = {c!r} outside (0, 1/(1+sqrt5)] for the c=|r| slice")
     root5 = np.sqrt(5.0)
-    _check_eigenvalues(
-        0.25 * np.array([1.0 + 2.0 * c, 1.0, 1.0 - c + root5 * c, 1.0 - c - root5 * c]),
-        "c=|r|",
-    )
+    _check_eigenvalues(_isotropic_spectrum(c, c), "c=|r|")
     return 0.25 * float(
         _xlog2(np.array(1.0 - c + root5 * c))
         + _xlog2(np.array(1.0 - c - root5 * c))
@@ -194,9 +190,8 @@ def discord_r0_isotropic(s_norm: float, c: float) -> float:
     """
     if s_norm < 0:
         raise ValueError("s_norm must be nonnegative")
+    _check_eigenvalues(_isotropic_spectrum(s_norm, c), "r0-isotropic")
     big = np.sqrt(4 * c**2 + s_norm**2)
-    lam = 0.25 * np.array([1 + c + s_norm, 1 + c - s_norm, 1 - c + big, 1 - c - big])
-    _check_eigenvalues(lam, "r0-isotropic")
     return 0.5 * entropic_h(-c, big) - 0.5 * entropic_h(-c, s_norm)
 
 
@@ -227,16 +222,10 @@ def discord_s0_planar(r, c: float) -> float:
     r1 = r2 = 0.
     """
     r = np.asarray(r, dtype=float)
-    rho12_sq = r[0] ** 2 + r[1] ** 2
-    rho12 = np.sqrt(rho12_sq)
-    r_sq = float(r @ r)
-    inner = np.sqrt(c**4 + c**2 * rho12_sq)
-    alpha_plus = np.sqrt(2 * c**2 + r_sq + 2 * inner)
-    alpha_minus = np.sqrt(max(2 * c**2 + r_sq - 2 * inner, 0.0))
-    _check_eigenvalues(
-        0.25 * np.array([1 + alpha_plus, 1 - alpha_plus, 1 + alpha_minus, 1 - alpha_minus]),
-        "s0-planar",
-    )
+    alpha_plus, alpha_minus = _planar_radii(r, c)
+    # The eigenvalues are (1 +- a+-)/4; (1 - a+)/4 is the smallest.
+    _check_eigenvalues(0.25 * (1 - alpha_plus), "s0-planar")
+    rho12 = np.sqrt(r[0] ** 2 + r[1] ** 2)
     beta_plus = np.sqrt((rho12 + c) ** 2 + r[2] ** 2)
     beta_minus = np.sqrt((rho12 - c) ** 2 + r[2] ** 2)
     return 0.5 * (
@@ -391,13 +380,11 @@ def discord_auto(
     """Discord through the closed form whose family preconditions match,
     falling back to the numeric path; the method tag names the route."""
     spectrum = _gated_state(params)[1]  # gates physicality first
-    mutual = _mutual_information(params, spectrum)
     hit = _analytic_dispatch(params)
-    if hit is None:
-        classical, axis = classical_correlation_numeric(params, cfg)
-        method, value = METHOD_NUMERIC, mutual - classical
-    else:
-        method, value, axis = hit
+    if hit is None:  # the report discord_numeric builds
+        return _numeric_report(params, spectrum, _correlation_search([params], cfg)[0])
+    method, value, axis = hit
+    mutual = _mutual_information(params, spectrum)
     return DiscordReport(
         mutual_info=mutual,
         classical_corr=mutual - value,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import BlochParams, _family_matrix
+from .density import BlochParams, _family_matrix, _isotropic_spectrum, _planar_radii
 
 _MARGIN = 1e-6
 _BATCH = 4096
@@ -25,26 +25,25 @@ def _unit(rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def draw_s0_isotropic(rng: np.random.Generator) -> BlochParams:
-    """s = 0, c1 = c2 = c3 = c, random direction for r."""
+def _draw_isotropic(rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """c and the one nonzero marginal of a uniform-c family draw."""
     while True:
         c = rng.uniform(-1.0, 1.0)
-        r_norm = rng.uniform(0.0, 1.0)
-        big = np.sqrt(4 * c * c + r_norm * r_norm)
-        lam = 0.25 * np.array([1 + c + r_norm, 1 + c - r_norm, 1 - c + big, 1 - c - big])
-        if lam.min() >= _MARGIN:
-            return BlochParams(r_norm * _unit(rng), [0, 0, 0], [c, c, c])
+        norm = rng.uniform(0.0, 1.0)
+        if _isotropic_spectrum(norm, c).min() >= _MARGIN:
+            return c, norm * _unit(rng)
+
+
+def draw_s0_isotropic(rng: np.random.Generator) -> BlochParams:
+    """s = 0, c1 = c2 = c3 = c, random direction for r."""
+    c, r = _draw_isotropic(rng)
+    return BlochParams(r, [0, 0, 0], [c, c, c])
 
 
 def draw_r0_isotropic(rng: np.random.Generator) -> BlochParams:
     """r = 0, c1 = c2 = c3 = c, random direction for s."""
-    while True:
-        c = rng.uniform(-1.0, 1.0)
-        s_norm = rng.uniform(0.0, 1.0)
-        big = np.sqrt(4 * c * c + s_norm * s_norm)
-        lam = 0.25 * np.array([1 + c + s_norm, 1 + c - s_norm, 1 - c + big, 1 - c - big])
-        if lam.min() >= _MARGIN:
-            return BlochParams([0, 0, 0], s_norm * _unit(rng), [c, c, c])
+    c, s = _draw_isotropic(rng)
+    return BlochParams([0, 0, 0], s, [c, c, c])
 
 
 def draw_axial_zero(rng: np.random.Generator) -> BlochParams:
@@ -66,11 +65,7 @@ def draw_s0_planar(rng: np.random.Generator) -> BlochParams:
     while True:
         r = rng.uniform(-1.0, 1.0, size=3)
         c = rng.uniform(-1.0, 1.0)
-        rho12_sq = r[0] ** 2 + r[1] ** 2
-        alpha_plus = np.sqrt(
-            2 * c * c + float(r @ r) + 2 * np.sqrt(c**4 + c * c * rho12_sq)
-        )
-        if (1.0 - alpha_plus) / 4.0 >= _MARGIN:
+        if (1.0 - _planar_radii(r, c)[0]) / 4.0 >= _MARGIN:
             return BlochParams(r, [0, 0, 0], [c, c, 0])
 
 

@@ -1,15 +1,22 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from discordkit import cli, discord_auto
+from discordkit import BlochParams, cli, discord_auto, maximize_correlation_objective
 from discordkit.cli import main
+from discordkit.sampling import draw_s0_isotropic, draw_s0_planar
 
 REF_A_FLAGS = ["--r", "0,0,0", "--s", "0.1,0.2,0.2", "--c", "0.3,0.3,0.3"]
 REF_B_FLAGS = ["--r", "0.1,0.2,0", "--s", "0,0,0", "--c", "0.3,0.3,0"]
+# The s = 0, uniform-c state of the README's curve example.
+S0_ISO_FLAGS = ["--r", "0,0,0.3", "--s", "0,0,0", "--c", "0.2,0.2,0.2"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -112,23 +119,28 @@ def test_compute_non_numeric_component_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["compute", *REF_A_FLAGS, "--grid-points", "0"],
-        ["compute", *REF_A_FLAGS, "--refine-rounds", "0"],
-        ["curve", *REF_A_FLAGS, "--samples", "-1"],
-        ["verify", "--draws", "-3"],
-        ["damp", *REF_B_FLAGS, "--gamma-grid", "0:1:0.5", "--grid-points", "x"],
+        (["compute", *REF_A_FLAGS, "--grid-points", "0"], "expected a positive integer"),
+        (["compute", *REF_A_FLAGS, "--refine-rounds", "0"], "expected a positive integer"),
+        (["curve", *REF_A_FLAGS, "--samples", "-1"], "expected a positive integer"),
+        (["verify", "--draws", "-3"], "expected a positive integer"),
+        (["damp", *REF_B_FLAGS, "--gamma-grid", "0:1:0.5", "--grid-points", "x"],
+         "expected an integer"),
+        (["verify", "--seed", "-1"], "expected a non-negative integer, got -1"),
+        (["verify", "--tolerance", "nan"], "expected a non-negative number, got nan"),
+        (["verify", "--tolerance", "-1"], "expected a non-negative number, got -1.0"),
     ],
-    ids=["grid-points", "refine-rounds", "samples", "draws", "non-integer"],
+    ids=["grid-points", "refine-rounds", "samples", "draws", "non-integer",
+         "negative-seed", "nan-tolerance", "negative-tolerance"],
 )
-def test_non_positive_integer_flags_exit_2(capsys, argv):
+def test_non_positive_integer_flags_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     (line,) = [ln for ln in err.splitlines() if "error:" in ln]
-    assert "expected a positive integer" in line or "expected an integer" in line
+    assert message in line
 
 
 def test_compute_unphysical_exits_1(capsys):
@@ -160,18 +172,24 @@ def test_compute_numeric_just_past_singlet_bound_exits_0(capsys):
     assert payload["discord"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_curve_uniform_c_shape(capsys):
-    code, out, _ = run_cli(capsys, "curve", *REF_A_FLAGS, "--samples", "101")
+def _curve(capsys, *argv):
+    code, out, _ = run_cli(capsys, "curve", *argv)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "theta,G"
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def test_curve_uniform_c_shape(capsys):
+    rows = _curve(capsys, *S0_ISO_FLAGS, "--samples", "101")
     assert rows.shape == (101, 2)
     theta, g = rows[:, 0], rows[:, 1]
     assert np.all(np.diff(theta) > 0)
-    # interior minimum at |r|^2 + c^2 = 0.09, decreasing then increasing
+    # the attainable range [(|r|-|c|)^2, (|r|+|c|)^2] = [0.01, 0.25]
+    assert (theta[0], theta[-1]) == pytest.approx((0.01, 0.25), abs=1e-15)
+    # interior minimum at |r|^2 + c^2 = 0.13, decreasing then increasing
     k = int(np.argmin(g))
-    assert theta[k] == pytest.approx(0.09, abs=2e-3)
+    assert theta[k] == pytest.approx(0.13, abs=2e-3)
     assert np.all(np.diff(g[: k + 1]) <= 1e-15)
     assert np.all(np.diff(g[k:]) >= -1e-15)
 
@@ -195,6 +213,68 @@ def test_curve_planar_family_maximum(capsys):
     )
     # the curve maximum is the sphere maximum of the objective
     assert rows[:, 1].max() == pytest.approx(0.10609271271085241, abs=1e-5)
+
+
+def _state_flags(params: BlochParams) -> list[str]:
+    return [f"--{k}={','.join(repr(float(x)) for x in getattr(params, k))}" for k in "rsc"]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # the README example; its curve peaked at 0.098332 over the 0.097974 maximum
+        BlochParams([0, 0, 0.3], [0, 0, 0], [0.2, 0.2, 0.2]),
+        # small c; 0.2018 over 0.1911
+        BlochParams([0.5, 0, 0], [0, 0, 0], [0.05, 0.05, 0.05]),
+        # Werner: the attainable range is the point theta = c^2
+        BlochParams([0, 0, 0], [0, 0, 0], [0.2, 0.2, 0.2]),
+    ],
+    ids=["readme", "small-c", "werner"],
+)
+def test_curve_uniform_c_maximum_is_the_sphere_maximum(capsys, params):
+    """The curve spans only attainable theta, so it never overshoots."""
+    rows = _curve(capsys, *_state_flags(params))
+    assert rows[:, 1].max() == pytest.approx(
+        maximize_correlation_objective(params).value, abs=1e-9
+    )
+
+
+@pytest.mark.parametrize("draw", [draw_s0_isotropic, draw_s0_planar])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_curve_maximum_matches_sphere_maximum_on_draws(capsys, draw, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        params = draw(rng)
+        rows = _curve(capsys, *_state_flags(params), "--samples", "50")
+        assert rows[:, 1].max() == pytest.approx(
+            maximize_correlation_objective(params).value, abs=1e-9
+        )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [REF_A_FLAGS, ["--r", "0.1,0,0", "--s", "0,0.2,0", "--c", "0.3,0.3,0.3"]],
+    ids=["r0-isotropic", "both-marginals"],
+)
+def test_curve_rejects_uniform_c_with_nonzero_s(capsys, flags):
+    """The theta reduction holds for s = 0 only."""
+    code, out, err = run_cli(capsys, "curve", *flags)
+    assert code == 2
+    assert out == ""
+    assert "s = 0" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--r", "0,0,0", "--s", "0,0,0", "--c", "0.9,0.9,0.9"],
+     ["--r", "0.9,0,0", "--s", "0,0,0", "--c", "0.5,0.5,0"]],
+    ids=["uniform-c", "planar"],
+)
+def test_curve_unphysical_exits_1(capsys, flags):
+    code, out, err = run_cli(capsys, "curve", *flags)
+    assert code == 1
+    assert out == ""
+    assert "unphysical" in err
 
 
 def test_curve_rejects_general_state(capsys):
@@ -327,3 +407,22 @@ def test_verify_matches_one_draw_at_a_time(capsys):
     assert lines[1] == f"s0-planar: max deviation {format(planar, '.17g')} -> ok"
     assert lines[2] == f"r0-isotropic: max deviation {format(iso, '.17g')} -> ok"
     assert len(lines) == 3
+
+
+def _readme_command_lines() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("discord-kit")]
+
+
+def test_readme_command_lines_exit_0(tmp_path, capsys):
+    state = tmp_path / "mystate.json"
+    state.write_text(json.dumps({"r": [0.1, 0.2, 0], "s": [0, 0, 0], "c": [0.3, 0.3, 0]}))
+    lines = _readme_command_lines()
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line.replace("mystate.json", str(state)))[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+        assert out

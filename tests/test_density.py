@@ -26,7 +26,12 @@ from discordkit import (
 from discordkit import density
 from discordkit.density import PAULI
 from discordkit.discord import C_EQ_R_MAX
-from discordkit.sampling import draw_general_batch
+from discordkit.sampling import (
+    draw_general_batch,
+    draw_r0_isotropic,
+    draw_s0_isotropic,
+    draw_s0_planar,
+)
 
 from _oracles import eigh_spectrum, jacobi_eigen, kron_state
 
@@ -115,6 +120,29 @@ def test_gate_decision_matches_jacobi_lambda_min(direction, target):
             build_state(params)
     else:
         build_state(params)
+
+
+def _analytic_spectrum(params: BlochParams) -> np.ndarray:
+    """The family's analytic spectrum from the density helpers, descending."""
+    if params.c[2] == 0.0:  # s0-planar: (1 +- a+-)/4
+        a_plus, a_minus = density._planar_radii(params.r, params.c[0])
+        lam = 0.25 * np.array([1 + a_plus, 1 - a_plus, 1 + a_minus, 1 - a_minus])
+    else:  # uniform c with one nonzero marginal
+        lam = density._isotropic_spectrum(params.r_norm + params.s_norm, params.c[2])
+    return np.sort(lam)[::-1]
+
+
+@pytest.mark.parametrize("draw", [draw_s0_isotropic, draw_r0_isotropic, draw_s0_planar])
+def test_analytic_family_spectra_match_the_eigensolvers(draw):
+    """The one written-out spectrum of each closed-form family, which the
+    closed forms and the samplers share, is the state's spectrum."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        params = draw(rng)
+        lam = _analytic_spectrum(params)
+        rho = build_state(params)
+        assert np.max(np.abs(lam - density._eigenvalues(rho))) <= 4e-15
+        assert np.max(np.abs(lam - jacobi_eigen(rho)[0])) <= 4e-15
 
 
 @pytest.mark.parametrize(
