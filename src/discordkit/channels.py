@@ -172,7 +172,8 @@ def gamma_sweep(
     state and its ``damp_bloch`` images at every gamma go through one
     :func:`discord_numeric_batch` call, so each row equals
     ``damped_discord(params, PhaseDamping(gamma), cfg)`` exactly while the
-    sphere searches run in lockstep.
+    sphere searches run in lockstep.  The image at gamma = 0 is the state
+    itself, bit for bit, so a grid starting there reuses its report.
     """
     grid = np.asarray(gammas, dtype=float).reshape(-1)
     if grid.size == 0:
@@ -181,6 +182,8 @@ def gamma_sweep(
         raise RangeError("gamma grid must lie inside [0, 1]")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise RangeError("gamma grid must be strictly increasing")
-    states = [params] + [damp_bloch(params, PhaseDamping(float(g))) for g in grid]
+    start = int(grid[0] == 0.0)
+    states = [params] + [damp_bloch(params, PhaseDamping(float(g))) for g in grid[start:]]
     q0, *damped = (report.discord for report in discord_numeric_batch(states, cfg))
+    damped = [q0] * start + damped
     return [(float(g), qd, q0 - qd) for g, qd in zip(grid, damped)]

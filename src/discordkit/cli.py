@@ -256,17 +256,20 @@ _VERIFY_SAMPLERS = {
 
 
 def _verify_family(name: str, rng, draws: int, cfg) -> float:
-    """Worst |closed form - numeric| over seeded draws of one family.
+    """Worst |closed form - numeric| over seeded draws of one family, NaN
+    when any deviation is NaN.
 
     The closed-form value is the one ``discord_auto`` serves.  All draws
     are taken first and the numeric oracle runs on them in one batch; the
     generator is consumed exactly as by one draw at a time.
     """
     states = [_VERIFY_SAMPLERS[name](rng) for _ in range(draws)]
-    worst = 0.0
-    for params, report in zip(states, discord_numeric_batch(states, cfg)):
-        worst = max(worst, abs(discord_auto(params, cfg).discord - report.discord))
-    return worst
+    reports = discord_numeric_batch(states, cfg)
+    # np.max propagates NaN, where the builtin max would keep its first argument
+    return float(np.max([
+        abs(discord_auto(params, cfg).discord - report.discord)
+        for params, report in zip(states, reports)
+    ]))
 
 
 def _cmd_verify(args, out) -> int:
@@ -296,8 +299,9 @@ def _add_opt_flags(sub) -> None:
                      help="points of the first Fibonacci pass (default 2000)")
     sub.add_argument("--refine-rounds", type=_positive_int, default=None,
                      help="cap on the plain cap rounds of the sphere search (default 40); "
-                     "the numeric discord runs them in full only for a state whose "
-                     "maximum the Newton polish cannot certify")
+                     "the numeric discord runs 3 of them before its Newton polish, "
+                     "and all of them only for a state whose maximum the polish "
+                     "cannot certify")
 
 
 def build_parser() -> argparse.ArgumentParser:

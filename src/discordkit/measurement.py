@@ -28,9 +28,12 @@ _QUAT_NORM_TOL = 1e-9
 _AXIS_NORM_TOL = 1e-9
 _LOG_ARG_FLOOR = 4.0 * EIGENVALUE_FLOOR
 # Derivatives are reported only where every log argument and x+- is at
-# least this.  Both are 2-Lipschitz in the axis, so a Newton step of at most
-# 1e-4 (the polish radius of sphereopt) keeps them above 8e-4: the trial
-# axis stays inside the kernel's domain and where x+- is differentiable.
+# least this, away from the domain edge and from where x+- is not
+# differentiable.  A Newton step of sphereopt (up to 0.028 rad by default)
+# can leave that region: the trial is still evaluated, since the kernel is
+# defined on every axis of a state that passed the PSD gate, and where it
+# lands the derivatives are NaN, so the row stops uncertified and falls
+# back to the plain cap rounds.
 _SMOOTH_FLOOR = 1e-3
 _LN2 = np.log(2.0)
 

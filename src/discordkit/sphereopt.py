@@ -4,9 +4,10 @@ sphere.
 The strategy is a dense Fibonacci-lattice pass followed by shrinking
 spherical-cap grids around the incumbent: monotone in the incumbent value
 and bit-reproducible for a fixed configuration.  Objectives that come with
-their gradient and Hessian trade the late cap rounds for at most three
-Riemannian Newton steps, which also certify the local maximum; rows they
-cannot certify finish with the plain rounds.
+their gradient and Hessian stop the cap rounds once the caps are finer
+than the lattice (1/8 of the first cap radius, 3 rounds by default) and
+finish with at most three Riemannian Newton steps, which also certify the
+local maximum; rows they cannot certify finish with the plain rounds.
 
 One engine, :func:`maximize_batch`, runs n such searches in lockstep: they
 share the Fibonacci pass, and each refine round builds all n cap grids at
@@ -26,13 +27,15 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIE_EPS = 1e-14
 _NEXT = [1, 2, 0]
 _AFTER = [2, 0, 1]
-# Newton polish: cap rounds stop once the radius falls to _POLISH_RADIUS,
-# which also bounds each Newton step; a row is certified when its tangent
-# gradient norm is at most _GRADIENT_TOL and its tangent Hessian has every
+# Newton polish: cap rounds stop once the radius falls to _POLISH_FRACTION
+# of the first cap radius, below the spacing of the Fibonacci pass, and that
+# radius also bounds each Newton step; a row is certified when its tangent
+# gradient norm is at most _GRADIENT_TOL, its tangent Hessian has every
 # eigenvalue below -_CURVATURE_TOL (a flat direction, whose computed
-# curvature is rounding noise, is not certified); a step may lower the
-# running maximum by at most _VALUE_SLACK.
-_POLISH_RADIUS = 1e-4
+# curvature is rounding noise, is not certified) and its quadratic model
+# rises at most _VALUE_SLACK above it; a step may lower the running maximum
+# by at most _VALUE_SLACK.
+_POLISH_FRACTION = 0.125
 _NEWTON_STEPS = 3
 _GRADIENT_TOL = 1e-10
 _CURVATURE_TOL = 1e-8
@@ -72,7 +75,9 @@ class OptResult:
     evaluations, with diagnostics: the cap rounds run, the Newton steps
     accepted, the last tangent gradient norm, and the largest tangent
     Hessian eigenvalue of a certified local maximum (NaN when the Newton
-    polish did not certify the row, or did not run)."""
+    polish did not certify the row, or did not run).  A row the polish
+    did not certify reports no Newton steps, since its result does not
+    use them, but its ``evaluations`` count the Newton trials."""
 
     axis: np.ndarray
     value: float
@@ -204,17 +209,19 @@ def _tangent_model(derivatives, z: np.ndarray):
     return basis, g, h
 
 
-def _newton_polish(f, derivatives, value, axis, hemisphere):
+def _newton_polish(f, derivatives, value, axis, hemisphere, max_step):
     """At most three Riemannian Newton steps from each row's cap incumbent.
 
-    A row is certified once its tangent gradient norm is at most 1e-10
-    and the largest eigenvalue of its tangent Hessian is below -1e-8.  A
+    A row is certified once its tangent gradient norm is at most 1e-10,
+    the largest eigenvalue of its tangent Hessian is below -1e-8, and its
+    quadratic model rises at most 1e-15 above it.  A
     row stops uncertified when its derivatives are undefined (NaN), its
     tangent Hessian is not negative definite by that margin, its step is
-    longer than the polish radius, or a step lowers the running maximum
-    by more than 1e-15.  Returns (certified, axes, values, accepted
-    steps, objective evaluations, gradient norms, top eigenvalues), with
-    the top eigenvalue NaN on uncertified rows.
+    longer than ``max_step`` (the polish radius), or a step lowers the
+    running maximum by more than 1e-15.  Returns (certified, axes,
+    values, accepted steps, objective evaluations, gradient norms, top
+    eigenvalues), with the steps 0 and the top eigenvalue NaN on
+    uncertified rows; their evaluations still count the trials.
     """
     n = len(axis)
     z, best = axis.copy(), value.copy()
@@ -231,7 +238,10 @@ def _newton_polish(f, derivatives, value, axis, hemisphere):
         norm = np.hypot(g[:, 0], g[:, 1])
         grad_norm[live] = norm[live]
         concave = lam < -_CURVATURE_TOL
-        done = live & concave & (norm <= _GRADIENT_TOL)
+        # the quadratic model's rise above z, g.(-h)^{-1} g / 2, is at most
+        # norm^2 / (2 |lam|): where the curvature is weak, a small gradient
+        # alone still leaves the row well below its maximum
+        done = live & concave & (norm <= _GRADIENT_TOL) & (norm * norm <= -2.0 * lam * _VALUE_SLACK)
         certified |= done
         top[done] = lam[done]
         live &= concave & ~done
@@ -241,7 +251,7 @@ def _newton_polish(f, derivatives, value, axis, hemisphere):
         det = np.where(live, a * d - b * b, 1.0)
         step0 = (b * g[:, 1] - d * g[:, 0]) / det
         step1 = (b * g[:, 0] - a * g[:, 1]) / det
-        live &= np.hypot(step0, step1) <= _POLISH_RADIUS
+        live &= np.hypot(step0, step1) <= max_step
         trial = z + step0[:, None] * basis[:, :, 0] + step1[:, None] * basis[:, :, 1]
         trial /= np.linalg.norm(trial, axis=1)[:, None]
         if hemisphere:
@@ -253,6 +263,7 @@ def _newton_polish(f, derivatives, value, axis, hemisphere):
         steps += live
         z[live] = trial[live]
         best[live] = np.maximum(best[live], trial_value[live])
+    steps[~certified] = 0
     return certified, z, best, steps, evaluations, grad_norm, top
 
 
@@ -270,13 +281,15 @@ def maximize_batch(
     Without ``derivatives`` every row runs all ``refine_rounds`` cap
     rounds.  ``derivatives`` maps (n, 3) unit rows to the Euclidean
     gradients (n, 3) and Hessians (n, 3, 3) of the objectives, NaN where
-    undefined.  With it, the cap rounds stop once the radius falls to
-    1e-4 (12 rounds at the default configuration) or ``refine_rounds``
-    run out, whichever comes first, and at most three
-    Riemannian Newton steps polish each row's incumbent.  A row whose
-    local maximum they certify stops there; every other row continues
-    the plain rounds up to ``refine_rounds`` from its cap incumbent, and
-    so ends exactly where a search without derivatives ends.
+    undefined.  With it, the cap rounds stop once the radius falls to 1/8
+    of the first cap radius min(pi/2, 10/sqrt(grid_points)), below the
+    spacing of the Fibonacci pass (3 rounds at the default configuration),
+    or ``refine_rounds`` run out, whichever comes first.  Then at most
+    three Riemannian Newton steps, each no longer than that radius, polish
+    each row's incumbent.  A row whose local maximum they certify stops
+    there; every other row continues the plain rounds up to
+    ``refine_rounds`` from its cap incumbent, and so ends exactly where a
+    search without derivatives ends.
     """
     if cfg is None:
         cfg = SphereOptConfig()
@@ -292,6 +305,7 @@ def maximize_batch(
     ang = j * _GOLDEN_ANGLE
     spiral = (np.sqrt(j / m), np.cos(ang), np.sin(ang))
     radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
+    polish_radius = _POLISH_FRACTION * radius
     rounds = np.zeros(n, dtype=int)
     certified = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=int)
@@ -299,10 +313,10 @@ def maximize_batch(
     top = np.full(n, np.nan)
     polished = derivatives is None  # the polish runs at most once
     for k in range(cfg.refine_rounds + 1):
-        if not polished and (radius <= _POLISH_RADIUS or k == cfg.refine_rounds):
+        if not polished and (radius <= polish_radius or k == cfg.refine_rounds):
             polished = True
             certified, z, z_value, steps, newton_evals, grad_norm, top = _newton_polish(
-                f, derivatives, best_value, best_axis, cfg.hemisphere
+                f, derivatives, best_value, best_axis, cfg.hemisphere, polish_radius
             )
             best_axis[certified] = z[certified]
             best_value[certified] = z_value[certified]

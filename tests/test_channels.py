@@ -266,14 +266,15 @@ def test_gamma_sweep_single_point(ref_state_b):
 
 def test_gamma_sweep_rows_equal_damped_discord(ref_state_b):
     rng = np.random.default_rng(241)
-    grid = [0.0, 0.2, 0.45, 0.9, 1.0]
     for params in [ref_state_b] + draw_general_batch(rng, 3):
         q0 = discord_numeric(params).discord
-        expected = []
-        for g in grid:
-            qd = damped_discord(params, PhaseDamping(g)).discord
-            expected.append((g, qd, q0 - qd))
-        assert gamma_sweep(params, grid) == expected
+        # with and without the gamma = 0 row, whose search is the state's own
+        for grid in ([0.0, 0.2, 0.45, 0.9, 1.0], [0.2, 0.45]):
+            expected = []
+            for g in grid:
+                qd = damped_discord(params, PhaseDamping(g)).discord
+                expected.append((g, qd, q0 - qd))
+            assert gamma_sweep(params, grid) == expected
 
 
 def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
@@ -288,11 +289,12 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     params = draw_general_batch(np.random.default_rng(251), 1)[0]
     gamma_sweep(params, np.linspace(0.0, 1.0, 11))
     cfg = SphereOptConfig()
-    # all 12 states at once: one Fibonacci pass, the 12 cap rounds down to
-    # the polish radius, then one Newton step whose trial axes certify
-    # every row, so none of the 28 remaining rounds runs
-    assert calls[0] == (12, cfg.grid_points, 3)
-    assert calls[1:] == [(12, cfg.local_points, 3)] * 12 + [(12, 1, 3)]
+    # the state and its 10 images at gamma > 0 at once (the gamma = 0 row
+    # reuses the state's report): one Fibonacci pass, the 3 cap rounds down
+    # to the polish radius, then two Newton steps whose trial axes certify
+    # every row, so none of the 37 remaining rounds runs
+    assert calls[0] == (11, cfg.grid_points, 3)
+    assert calls[1:] == [(11, cfg.local_points, 3)] * 3 + [(11, 1, 3)] * 2
 
 
 def test_gamma_sweep_werner_monotone():

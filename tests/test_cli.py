@@ -383,6 +383,18 @@ def test_verify_fails_on_impossible_tolerance(capsys):
     assert "FAIL" in out
 
 
+def test_verify_fails_on_a_nan_closed_form(capsys, monkeypatch):
+    from discordkit import discord as discord_module
+
+    monkeypatch.setattr(discord_module, "discord_s0_planar", lambda r, c: float("nan"))
+    code, out, _ = run_cli(
+        capsys, "verify", "--draws", "3", "--families", "s0-planar", "s0-isotropic"
+    )
+    assert code == 3
+    assert "s0-planar: max deviation nan -> FAIL" in out
+    assert "s0-isotropic: max deviation" in out and out.count("FAIL") == 1
+
+
 def test_verify_matches_one_draw_at_a_time(capsys):
     """Batched verify consumes the generator as serial draws do, and its
     values are the closed forms against the oracle one state at a time."""
