@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -347,6 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process; parsing
+    keeps no state between calls."""
+    return build_parser()
+
+
 _HANDLERS = {
     "compute": _cmd_compute,
     "curve": _cmd_curve,
@@ -357,9 +365,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     except RangeError as exc:

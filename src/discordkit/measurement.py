@@ -152,19 +152,42 @@ def _axes_2d(axis) -> tuple[np.ndarray, bool]:
     return z, False
 
 
+def _columns(v: np.ndarray) -> list[np.ndarray]:
+    """The three components of (n, 3) rows as (n, 1) columns, which
+    broadcast against (n, m) arrays of axis components."""
+    return [v[:, k, None] for k in range(3)]
+
+
+def _norm(u: list[np.ndarray]) -> np.ndarray:
+    """Euclidean norm of a vector given as its three component arrays."""
+    return np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+
+
 def _log_arguments(r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray):
     """The six log arguments of the correlation objective of n states,
     stacked as (n, 3) rows of r, s and c, on an (n, m, 3) array of axes.
 
     Returns the (6, n, m) arguments 1 + w, 1 - w, 1 + w +- x+ and
     1 - w +- x-, where w = s.z and x+- = |u+-| with u+- = r +- c*z, and
-    the (n, m, 3) vectors u+- with their (n, m) norms x+-.
+    the components of u+- as two lists of three (n, m) arrays with their
+    (n, m) norms x+-.  Every dot product and norm is written out component
+    by component: each value is then a fixed sequence of elementwise
+    operations on its own axis, so its rounding does not depend on where
+    the axis sits in the batch (a BLAS product may round differently with
+    the batch's shape).  x+- is the norm of u+- and not the square root of
+    the expanded quadratic form |r|^2 +- 2 (r*c).z + (c*c).(z*z): where
+    x+- is small, that form cancels, and its error of about 1e-16 becomes
+    an error of about 1e-8 in x+-, enough to push a log argument of a
+    state near |s| = 1 below the domain floor.
     """
-    w = np.matmul(z, s[:, :, None])[..., 0]
-    u_plus = r[:, None, :] + c[:, None, :] * z
-    u_minus = r[:, None, :] - c[:, None, :] * z
-    x_plus = np.linalg.norm(u_plus, axis=2)
-    x_minus = np.linalg.norm(u_minus, axis=2)
+    z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
+    s0, s1, s2 = _columns(s)
+    w = z0 * s0 + z1 * s1 + z2 * s2
+    rk = _columns(r)
+    cz = [ck * zk for ck, zk in zip(_columns(c), (z0, z1, z2))]
+    u_plus = [a + b for a, b in zip(rk, cz)]
+    u_minus = [a - b for a, b in zip(rk, cz)]
+    x_plus, x_minus = _norm(u_plus), _norm(u_minus)
     t = np.empty((6,) + w.shape)
     np.add(1.0, w, out=t[0])
     np.subtract(1.0, w, out=t[1])
@@ -185,7 +208,9 @@ def _correlation_kernel(
     times an eigenvalue of a 2x2 compression of the state, so on a state
     that passed the PSD gate it is at least 4 * EIGENVALUE_FLOOR.  Log
     arguments from that bound up to 1e-12 contribute zero (the
-    x log x -> 0 limit); anything lower raises ``DomainError``.
+    x log x -> 0 limit); anything lower raises ``DomainError``.  Each
+    value depends on its state and axis alone, bit for bit, whatever the
+    shape of the batch (see :func:`_log_arguments`).
     """
     t = _log_arguments(r, s, c, z)[0]
     low = float(t.min())
@@ -222,7 +247,7 @@ def _correlation_derivatives(
     """
     t, u_plus, x_plus, u_minus, x_minus = _log_arguments(r, s, c, z[:, None, :])
     t, x_plus, x_minus = t[..., 0], x_plus[:, 0], x_minus[:, 0]
-    u_plus, u_minus = u_plus[:, 0], u_minus[:, 0]
+    u_plus, u_minus = np.concatenate(u_plus, axis=1), np.concatenate(u_minus, axis=1)
     smooth = (t.min(axis=0) >= _SMOOTH_FLOOR) & (np.minimum(x_plus, x_minus) >= _SMOOTH_FLOOR)
     t[:, ~smooth] = 1.0
     x_plus[~smooth] = 1.0

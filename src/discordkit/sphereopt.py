@@ -20,6 +20,7 @@ is the one-row case, with an objective on (m, 3) arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,15 @@ def fibonacci_grid(n: int, full_sphere: bool = False) -> np.ndarray:
     phi = k * _GOLDEN_ANGLE
     rho = np.sqrt(np.clip(1.0 - z3 * z3, 0.0, None))
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z3], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _lattice(grid_points: int, hemisphere: bool) -> np.ndarray:
+    """The first pass's Fibonacci lattice, built once per configuration
+    and shared read-only."""
+    grid = fibonacci_grid(grid_points, full_sphere=not hemisphere)
+    grid.setflags(write=False)
+    return grid
 
 
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
@@ -276,7 +286,9 @@ def maximize_batch(
     to search i, and must return an (n, m) array of values.  All searches
     share the Fibonacci pass and then refine together, one objective call
     per round, so the result for each row equals that of a search run on
-    its own.  Returns one :class:`OptResult` per row, in order.
+    its own.  The pass's lattice is built once per (grid_points,
+    hemisphere) and cached read-only; ``f`` gets a writable copy of it.
+    Returns one :class:`OptResult` per row, in order.
 
     Without ``derivatives`` every row runs all ``refine_rounds`` cap
     rounds.  ``derivatives`` maps (n, 3) unit rows to the Euclidean
@@ -295,8 +307,8 @@ def maximize_batch(
         cfg = SphereOptConfig()
     if n < 1:
         return []
-    grid = fibonacci_grid(cfg.grid_points, full_sphere=not cfg.hemisphere)
-    points = np.repeat(grid[None], n, axis=0)
+    grid = _lattice(cfg.grid_points, cfg.hemisphere)
+    points = np.repeat(grid[None], n, axis=0)  # a writable copy for f
     best_value, best_axis = _row_best(points, _evaluate(f, points))
     evaluations = np.full(n, len(grid))
 

@@ -330,6 +330,22 @@ def test_damp_output_uses_17_digit_floats(capsys):
     assert "," not in value.replace(",", "", 0) or "." in value
 
 
+def test_parser_built_once_gives_the_output_of_a_fresh_parser(capsys, monkeypatch):
+    """main parses with one parser per process; a usage error on it leaves
+    nothing behind for the next call."""
+    damp = ["damp", "--r", "0.1,0.2,0.1", "--s", "0.2,-0.1,0.3", "--c", "0.3,0.2,-0.1",
+            "--gamma-grid", "0:1:0.25"]
+    calls = [damp, ["damp", "--r", "0,0", "--gamma-grid", "0:1:0.5"],
+             ["compute", "--numeric", *REF_A_FLAGS], damp]
+    cached = [run_cli(capsys, *argv)[:2] for argv in calls]
+    assert [code for code, _ in cached] == [0, 2, 0, 0]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    for argv, (code, out) in zip(calls, cached):
+        fresh_code, fresh_out = run_cli(capsys, *argv)[:2]
+        assert fresh_code == code and fresh_out.encode() == out.encode()
+
+
 def test_spectrum_command(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--r=0,0,0", "--s=0,0,0",
                            "--c=-1,-1,-1")

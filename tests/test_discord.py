@@ -541,14 +541,20 @@ def test_numeric_batch_equals_one_state_at_a_time():
     # c = 0 with both marginals polarized: correlated, but classical on b
     classical_on_b = BlochParams([0.1, -0.2, 0.3], [0.2, 0.1, -0.1], [0, 0, 0])
     product = BlochParams([0, 0, 0.3], [0, 0, 0.4], [0, 0, 0.12])  # flat objective
+    # its smallest eigenvalue lies in [-1e-9, 0), and the report clamps it
     k = C_EQ_R_MAX + 1e-10
     boundary = BlochParams([0, 0, k], [0, 0, 0], [k, k, k])
     assert -1e-9 <= density._gated_state(boundary)[1][-1] < 0.0
-    # 34 states: two lockstep blocks
+    r0 = BlochParams([0, 0, 0], [0.2, -0.1, 0.3], [0.3, -0.2, 0.1])
+    s0 = BlochParams([0.1, 0.3, -0.2], [0, 0, 0], [-0.2, 0.3, 0.1])
+    # the batch gamma_sweep hands discord_numeric_batch on a 0:1:0.1 grid
+    swept = draw_general_batch(rng, 1)[0]
+    sweep = [swept] + [damp_bloch(swept, PhaseDamping(g / 10)) for g in range(1, 11)]
+    # 47 states: two lockstep blocks
     states = draw_general_batch(rng, 20) + [werner, classical_on_b, product, boundary]
-    states += draw_general_batch(rng, 10)
+    states += [r0, s0] + sweep + draw_general_batch(rng, 10)
     batch = discord_numeric_batch(iter(states))
-    assert len(batch) == 34
+    assert len(batch) == 47
     for params, report in zip(states, batch):
         _assert_same_report(report, discord_numeric(params))
 

@@ -13,11 +13,14 @@ from discordkit import (
     conditional_entropy,
     correlation_objective,
     damped_correlation_objective,
+    fibonacci_grid,
     hermitian_eigen,
+    maximize_correlation_objective,
     partial_trace,
     build_state,
     post_measurement_ensemble,
 )
+from discordkit import discord as discord_module
 from discordkit.measurement import _correlation_derivatives, _correlation_kernel
 from discordkit.sampling import draw_general_batch
 
@@ -194,9 +197,7 @@ def test_objective_batch_matches_scalar(ref_state_a):
     axes = np.stack([_random_axis(rng) for _ in range(32)])
     batch = correlation_objective(ref_state_a, axes)
     for z, value in zip(axes, batch):
-        # batched BLAS reductions may differ from single-row ones in the
-        # last bit, nothing more
-        assert value == pytest.approx(correlation_objective(ref_state_a, z), abs=1e-15)
+        assert value == correlation_objective(ref_state_a, z)
 
 
 def test_objective_reference_maximum(ref_state_a):
@@ -302,3 +303,38 @@ def test_correlation_derivatives_are_nan_where_undefined():
     grad, hess = _correlation_derivatives(*_stacked(states), np.tile([0.0, 0.0, 1.0], (3, 1)))
     assert np.isnan(grad[:2]).all() and np.isnan(hess[:2]).all()
     assert np.isfinite(grad[2]).all() and np.isfinite(hess[2]).all()
+
+
+def test_kernel_value_depends_on_its_axis_only(monkeypatch):
+    """Each kernel value is the one its axis gets alone, bit for bit, on
+    the search's Fibonacci pass and on a cap; so the value a batched search
+    computed at its reported axis is the objective there."""
+    rng = np.random.default_rng(16)
+    states = draw_general_batch(rng, 16)
+    r, s, c = _stacked(states)
+
+    def alone(i, z):
+        return _correlation_kernel(r[i : i + 1], s[i : i + 1], c[i : i + 1], z[None, None])[0, 0]
+
+    lattice = np.repeat(fibonacci_grid(2000)[None], 16, axis=0)
+    first_pass = _correlation_kernel(r, s, c, lattice)
+    for i in range(16):
+        for j, z in enumerate(lattice[i]):
+            assert first_pass[i, j] == alone(i, z)
+    center = _random_axis(rng)
+    cap = center + 0.05 * rng.normal(size=(64, 3))
+    cap /= np.linalg.norm(cap, axis=1)[:, None]
+    values = _correlation_kernel(r[:1], s[:1], c[:1], cap[None])[0]
+    for z, value in zip(cap, values):
+        assert value == alone(0, z)
+
+    seen = []
+
+    def recording(*args):
+        seen.append((args[3], _correlation_kernel(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
+    for i, (params, res) in enumerate(zip(states, discord_module._correlation_search(states, None))):
+        at_axis = np.concatenate([v[i][(z[i] == res.axis).all(axis=1)] for z, v in seen])
+        assert at_axis.size and (at_axis == correlation_objective(params, res.axis)).all()
