@@ -300,9 +300,8 @@ def _add_opt_flags(sub) -> None:
                      help="points of the first Fibonacci pass (default 2000)")
     sub.add_argument("--refine-rounds", type=_positive_int, default=None,
                      help="cap on the plain cap rounds of the sphere search (default 40); "
-                     "the numeric discord runs 3 of them before its Newton polish, "
-                     "and all of them only for a state whose maximum the polish "
-                     "cannot certify")
+                     "the numeric discord runs them only for a state whose maximum "
+                     "its Newton polish cannot certify")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -160,10 +160,16 @@ def _family_matrix(r, s, c) -> np.ndarray:
 
 
 def _eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of the Hermitian part (rho + rho^H)/2, by
-    LAPACK; the one spectrum route for every eigenvalues-only need."""
+    """Descending eigenvalues of an exactly Hermitian ``rho``, by LAPACK;
+    the one spectrum route for every eigenvalues-only need.  Matrices from
+    outside the family come through :func:`_hermitian_part` first."""
+    return np.linalg.eigvalsh(rho)[::-1]
+
+
+def _hermitian_part(rho) -> np.ndarray:
+    """(rho + rho^H)/2, which equals an exactly Hermitian rho bit for bit."""
     rho = np.asarray(rho, dtype=complex)
-    return np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[::-1].copy()
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _isotropic_spectrum(norm: float, c: float) -> np.ndarray:
@@ -230,7 +236,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise PhysicalityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    smallest = float(_eigenvalues(rho)[-1])
+    smallest = float(_eigenvalues(_hermitian_part(rho))[-1])
     if smallest < EIGENVALUE_FLOOR:
         raise PhysicalityError(
             f"smallest eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"
@@ -333,7 +339,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     to zero; anything lower, a non-finite entry or a deviation from
     Hermitian above 1e-12 raises ``PhysicalityError``.
     """
-    lam = _eigenvalues(_finite_hermitian(rho))
+    lam = _eigenvalues(_hermitian_part(_finite_hermitian(rho)))
     smallest = float(lam[-1])
     if smallest < EIGENVALUE_FLOOR:
         raise PhysicalityError(

@@ -29,7 +29,7 @@ _AXIS_NORM_TOL = 1e-9
 _LOG_ARG_FLOOR = 4.0 * EIGENVALUE_FLOOR
 # Derivatives are reported only where every log argument and x+- is at
 # least this, away from the domain edge and from where x+- is not
-# differentiable.  A Newton step of sphereopt (up to 0.028 rad by default)
+# differentiable.  A Newton step of sphereopt (up to 0.224 rad by default)
 # can leave that region: the trial is still evaluated, since the kernel is
 # defined on every axis of a state that passed the PSD gate, and where it
 # lands the derivatives are NaN, so the row stops uncertified and falls
@@ -248,10 +248,12 @@ def _correlation_derivatives(
     t, u_plus, x_plus, u_minus, x_minus = _log_arguments(r, s, c, z[:, None, :])
     t, x_plus, x_minus = t[..., 0], x_plus[:, 0], x_minus[:, 0]
     u_plus, u_minus = np.concatenate(u_plus, axis=1), np.concatenate(u_minus, axis=1)
-    smooth = (t.min(axis=0) >= _SMOOTH_FLOOR) & (np.minimum(x_plus, x_minus) >= _SMOOTH_FLOOR)
-    t[:, ~smooth] = 1.0
-    x_plus[~smooth] = 1.0
-    x_minus[~smooth] = 1.0
+    rough = ~((t.min(axis=0) >= _SMOOTH_FLOOR) & (np.minimum(x_plus, x_minus) >= _SMOOTH_FLOOR))
+    any_rough = rough.any()  # the masked writes cost even when empty
+    if any_rough:
+        t[:, rough] = 1.0
+        x_plus[rough] = 1.0
+        x_minus[rough] = 1.0
     d1 = np.log2(t) + 1.0 / _LN2
     d2 = 1.0 / (_LN2 * t)
     g_w = -0.5 * (d1[0] - d1[1]) + 0.25 * (d1[2] + d1[3]) - 0.25 * (d1[4] + d1[5])
@@ -275,9 +277,10 @@ def _correlation_derivatives(
         + (0.25 * (d2[2] + d2[3]) - curv_plus)[:, None, None] * _outer(v_plus, v_plus)
         + (0.25 * (d2[4] + d2[5]) - curv_minus)[:, None, None] * _outer(v_minus, v_minus)
     )
-    hess[:, [0, 1, 2], [0, 1, 2]] += (curv_plus + curv_minus)[:, None] * (c * c)
-    grad[~smooth] = np.nan
-    hess[~smooth] = np.nan
+    hess.reshape(-1, 9)[:, ::4] += (curv_plus + curv_minus)[:, None] * (c * c)  # diagonal
+    if any_rough:
+        grad[rough] = np.nan
+        hess[rough] = np.nan
     return grad, hess
 
 

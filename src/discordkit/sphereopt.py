@@ -4,10 +4,9 @@ sphere.
 The strategy is a dense Fibonacci-lattice pass followed by shrinking
 spherical-cap grids around the incumbent: monotone in the incumbent value
 and bit-reproducible for a fixed configuration.  Objectives that come with
-their gradient and Hessian stop the cap rounds once the caps are finer
-than the lattice (1/8 of the first cap radius, 3 rounds by default) and
-finish with at most three Riemannian Newton steps, which also certify the
-local maximum; rows they cannot certify finish with the plain rounds.
+their gradient and Hessian go from the lattice pass straight to at most
+four Riemannian Newton steps, which also certify the local maximum; rows
+they cannot certify run the plain cap rounds from the lattice incumbent.
 
 One engine, :func:`maximize_batch`, runs n such searches in lockstep: they
 share the Fibonacci pass, and each refine round builds all n cap grids at
@@ -26,18 +25,16 @@ import numpy as np
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIE_EPS = 1e-14
-_NEXT = [1, 2, 0]
-_AFTER = [2, 0, 1]
-# Newton polish: cap rounds stop once the radius falls to _POLISH_FRACTION
-# of the first cap radius, below the spacing of the Fibonacci pass, and that
-# radius also bounds each Newton step; a row is certified when its tangent
-# gradient norm is at most _GRADIENT_TOL, its tangent Hessian has every
-# eigenvalue below -_CURVATURE_TOL (a flat direction, whose computed
-# curvature is rounding noise, is not certified) and its quadratic model
-# rises at most _VALUE_SLACK above it; a step may lower the running maximum
-# by at most _VALUE_SLACK.
-_POLISH_FRACTION = 0.125
-_NEWTON_STEPS = 3
+_NEXT = np.array([1, 2, 0])
+_AFTER = np.array([2, 0, 1])
+# Newton polish, straight from the lattice pass: each step is at most the
+# first cap radius long; a row is certified when its tangent gradient norm
+# is at most _GRADIENT_TOL, its tangent Hessian has every eigenvalue below
+# -_CURVATURE_TOL (a flat direction, whose computed curvature is rounding
+# noise, is not certified) and its quadratic model rises at most
+# _VALUE_SLACK above it; a step may lower the running maximum by at most
+# _VALUE_SLACK.
+_NEWTON_STEPS = 4
 _GRADIENT_TOL = 1e-10
 _CURVATURE_TOL = 1e-8
 _VALUE_SLACK = 1e-15
@@ -215,19 +212,19 @@ def _tangent_model(derivatives, z: np.ndarray):
     g = np.matmul(basis_t, grad[:, :, None])[..., 0]
     h = basis_t @ hess @ basis
     radial = np.matmul(grad[:, None, :], z[:, :, None])[:, 0, 0]
-    h[:, [0, 1], [0, 1]] -= radial[:, None]
+    h.reshape(-1, 4)[:, ::3] -= radial[:, None]  # the diagonal of each 2x2
     return basis, g, h
 
 
 def _newton_polish(f, derivatives, value, axis, hemisphere, max_step):
-    """At most three Riemannian Newton steps from each row's cap incumbent.
+    """At most four Riemannian Newton steps from each row's lattice incumbent.
 
     A row is certified once its tangent gradient norm is at most 1e-10,
     the largest eigenvalue of its tangent Hessian is below -1e-8, and its
     quadratic model rises at most 1e-15 above it.  A
     row stops uncertified when its derivatives are undefined (NaN), its
     tangent Hessian is not negative definite by that margin, its step is
-    longer than ``max_step`` (the polish radius), or a step lowers the
+    longer than ``max_step`` (the first cap radius), or a step lowers the
     running maximum by more than 1e-15.  Returns (certified, axes,
     values, accepted steps, objective evaluations, gradient norms, top
     eigenvalues), with the steps 0 and the top eigenvalue NaN on
@@ -293,15 +290,12 @@ def maximize_batch(
     Without ``derivatives`` every row runs all ``refine_rounds`` cap
     rounds.  ``derivatives`` maps (n, 3) unit rows to the Euclidean
     gradients (n, 3) and Hessians (n, 3, 3) of the objectives, NaN where
-    undefined.  With it, the cap rounds stop once the radius falls to 1/8
-    of the first cap radius min(pi/2, 10/sqrt(grid_points)), below the
-    spacing of the Fibonacci pass (3 rounds at the default configuration),
-    or ``refine_rounds`` run out, whichever comes first.  Then at most
-    three Riemannian Newton steps, each no longer than that radius, polish
-    each row's incumbent.  A row whose local maximum they certify stops
-    there; every other row continues the plain rounds up to
-    ``refine_rounds`` from its cap incumbent, and so ends exactly where a
-    search without derivatives ends.
+    undefined.  With it, at most four Riemannian Newton steps polish each
+    row's lattice incumbent, each no longer than the first cap radius
+    min(pi/2, 10/sqrt(grid_points)).  A row whose local maximum they
+    certify stops there; every other row runs the plain rounds up to
+    ``refine_rounds`` from its lattice incumbent, and so ends exactly where
+    a search without derivatives ends.
     """
     if cfg is None:
         cfg = SphereOptConfig()
@@ -312,28 +306,26 @@ def maximize_batch(
     best_value, best_axis = _row_best(points, _evaluate(f, points))
     evaluations = np.full(n, len(grid))
 
-    m = cfg.local_points
-    j = (np.arange(m) + 0.5)[:, None]
-    ang = j * _GOLDEN_ANGLE
-    spiral = (np.sqrt(j / m), np.cos(ang), np.sin(ang))
     radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
-    polish_radius = _POLISH_FRACTION * radius
-    rounds = np.zeros(n, dtype=int)
     certified = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=int)
     grad_norm = np.full(n, np.nan)
     top = np.full(n, np.nan)
-    polished = derivatives is None  # the polish runs at most once
-    for k in range(cfg.refine_rounds + 1):
-        if not polished and (radius <= polish_radius or k == cfg.refine_rounds):
-            polished = True
-            certified, z, z_value, steps, newton_evals, grad_norm, top = _newton_polish(
-                f, derivatives, best_value, best_axis, cfg.hemisphere, polish_radius
-            )
-            best_axis[certified] = z[certified]
-            best_value[certified] = z_value[certified]
-            evaluations += newton_evals
-        if k == cfg.refine_rounds or certified.all():
+    if derivatives is not None:
+        certified, z, z_value, steps, newton_evals, grad_norm, top = _newton_polish(
+            f, derivatives, best_value, best_axis, cfg.hemisphere, radius
+        )
+        best_axis[certified] = z[certified]
+        best_value[certified] = z_value[certified]
+        evaluations += newton_evals
+
+    m = cfg.local_points
+    j = (np.arange(m) + 0.5)[:, None]
+    ang = j * _GOLDEN_ANGLE
+    spiral = (np.sqrt(j / m), np.cos(ang), np.sin(ang))
+    rounds = np.zeros(n, dtype=int)
+    for _ in range(cfg.refine_rounds):
+        if certified.all():
             break
         local = _cap_grids(best_axis, radius, spiral, cfg.hemisphere)
         # certified rows are finished: their grids collapse onto their axes

@@ -290,11 +290,11 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     gamma_sweep(params, np.linspace(0.0, 1.0, 11))
     cfg = SphereOptConfig()
     # the state and its 10 images at gamma > 0 at once (the gamma = 0 row
-    # reuses the state's report): one Fibonacci pass, the 3 cap rounds down
-    # to the polish radius, then two Newton steps whose trial axes certify
-    # every row, so none of the 37 remaining rounds runs
+    # reuses the state's report): one Fibonacci pass, then three Newton steps
+    # from the lattice incumbents whose trial axes certify every row, so no
+    # cap round runs
     assert calls[0] == (11, cfg.grid_points, 3)
-    assert calls[1:] == [(11, cfg.local_points, 3)] * 3 + [(11, 1, 3)] * 2
+    assert calls[1:] == [(11, 1, 3)] * 3
 
 
 def test_gamma_sweep_werner_monotone():

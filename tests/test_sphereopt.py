@@ -212,10 +212,9 @@ def test_newton_polish_certifies_quadratic_maxima(hemisphere):
     cfg = SphereOptConfig(hemisphere=hemisphere)
     for m, res in zip(mats, maximize_batch(f, 6, cfg, derivatives)):
         lam, vec = np.linalg.eigh(m)
-        # 3 cap rounds bring the radius to 1/8 of the first, below the
-        # lattice spacing; Newton finishes
-        assert res.refine_rounds == 3 and res.newton_steps >= 1
-        assert res.evaluations == 2000 + 3 * 64 + res.newton_steps
+        # Newton starts from the lattice incumbent and finishes: no cap rounds
+        assert res.refine_rounds == 0 and res.newton_steps >= 1
+        assert res.evaluations == 2000 + res.newton_steps
         assert res.gradient_norm <= 1e-10
         # at the top eigenvector the tangent Hessian is 2 (A - lam_max I) on the
         # tangent plane, whose largest eigenvalue is 2 (lam_mid - lam_max)
@@ -226,17 +225,15 @@ def test_newton_polish_certifies_quadratic_maxima(hemisphere):
             assert res.axis[2] >= 0.0
 
 
-@pytest.mark.parametrize(
-    "grid_points, shrink_factor, rounds", [(200, 0.3, 2), (2000, 0.9, 20)]
-)
-def test_polish_starts_at_an_eighth_of_the_first_cap_radius(grid_points, shrink_factor, rounds):
-    # the first cap radius is min(pi/2, 10/sqrt(grid_points)); the polish
-    # starts once the caps have shrunk to 1/8 of it: 0.3^2 or 0.9^20 of it
+@pytest.mark.parametrize("grid_points, shrink_factor", [(200, 0.3), (2000, 0.9)])
+def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
+    # whatever the lattice and the shrink factor, the polish runs before any
+    # cap round, with steps up to the first cap radius min(pi/2, 10/sqrt(grid_points))
     mats, f, derivatives = _quadratic_batch(6, 127)
     cfg = SphereOptConfig(grid_points=grid_points, shrink_factor=shrink_factor)
     for m, res in zip(mats, maximize_batch(f, 6, cfg, derivatives)):
-        assert res.refine_rounds == rounds and res.newton_steps >= 1
-        assert res.evaluations == grid_points + rounds * 64 + res.newton_steps
+        assert res.refine_rounds == 0 and res.newton_steps >= 1
+        assert res.evaluations == grid_points + res.newton_steps
         assert res.gradient_norm <= 1e-10
         assert abs(res.value - np.linalg.eigvalsh(m)[-1]) <= 4e-15
 
@@ -273,9 +270,8 @@ def _rotated(mats, angle):
     [
         ("undefined", 0),
         ("downhill", 1),  # the first trial is evaluated, rejected, not counted
-        ("overshooting", 0),  # steps past the polish radius are never tried
-        # a step of about 0.1, past the polish radius 0.028 though within the
-        # first cap radius 0.22, is not tried either
+        ("overshooting", 0),  # steps past the first cap radius are never tried
+        # a step of about 0.3, past the first cap radius 0.22, is not tried either
         ("misdirected", 0),
     ],
 )
@@ -290,7 +286,7 @@ def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
         "undefined": undefined,
         "downhill": _tangent_scaled(derivatives, -1.0),
         "overshooting": _tangent_scaled(derivatives, 1e3),
-        "misdirected": _rotated(mats, 0.1),
+        "misdirected": _rotated(mats, 0.3),
     }[kind]
     for polished, plain in zip(maximize_batch(f, 3, cfg, bad), maximize_batch(f, 3, cfg)):
         assert polished.value == plain.value
