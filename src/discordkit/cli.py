@@ -129,6 +129,8 @@ def _state_from_args(args) -> tuple[BlochParams, str]:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise RangeError(f"cannot read state file {args.state!r}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise RangeError(f"state file {args.state!r} must hold a JSON object")
         r = payload.get("r")
         s = payload.get("s")
         c = payload.get("c")
@@ -139,7 +141,10 @@ def _state_from_args(args) -> tuple[BlochParams, str]:
     c = args.c if args.c is not None else c
     if r is None or s is None or c is None:
         raise RangeError("state requires --r, --s and --c (or a --state file)")
-    return BlochParams(r, s, c), label or ""
+    try:
+        return BlochParams(r, s, c), label or ""
+    except (ValueError, TypeError) as exc:
+        raise RangeError(f"invalid state: {exc}") from exc
 
 
 def _cfg_from_args(args) -> SphereOptConfig:

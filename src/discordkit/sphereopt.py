@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-_TIE_EPS = 1e-14
 _NEXT = np.array([1, 2, 0])
 _AFTER = np.array([2, 0, 1])
 # Newton polish, straight from the lattice pass: each step is at most the
@@ -73,9 +72,11 @@ class OptResult:
     evaluations, with diagnostics: the cap rounds run, the Newton steps
     accepted, the last tangent gradient norm, and the largest tangent
     Hessian eigenvalue of a certified local maximum (NaN when the Newton
-    polish did not certify the row, or did not run).  A row the polish
-    did not certify reports no Newton steps, since its result does not
-    use them, but its ``evaluations`` count the Newton trials."""
+    polish did not certify the row, or did not run).  ``value`` is the
+    objective at ``axis``, bit for bit, and at least every value the
+    search evaluated, except the Newton trials of a row the polish did not
+    certify.  Such a row reports no Newton steps, since its result does
+    not use them, but its ``evaluations`` count the Newton trials."""
 
     axis: np.ndarray
     value: float
@@ -126,40 +127,11 @@ def _evaluate(f, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise tuple comparison a < b of (n, 3) arrays."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return (a0 < b0) | ((a0 == b0) & ((a1 < b1) | ((a1 == b1) & (a2 < b2))))
-
-
 def _row_best(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the maximum value, and among the points within 1e-14 of it
-    the lexicographically smallest (the first of equal ones).
-
-    The candidates are narrowed one coordinate at a time to those holding
-    the row minimum, which costs O(m) per row where a sort would cost
-    O(m log m) on the wide Fibonacci pass.
-    """
-    vmax = values.max(axis=1)
-    chosen = values >= vmax[:, None] - _TIE_EPS
-    for k in range(3):
-        key = np.where(chosen, points[..., k], np.inf)
-        chosen = key == key.min(axis=1)[:, None]
-    return vmax, points[np.arange(len(points)), chosen.argmax(axis=1)]
-
-
-def _merge(best_value, best_axis, cand_value, cand_axis):
-    """Associative reduction, row by row: keep the running maximum value,
-    and among axes whose value ties it within 1e-14 the lexicographically
-    smallest."""
-    up = cand_value > best_value + _TIE_EPS
-    tie = ~up & ~(cand_value < best_value - _TIE_EPS)
-    take_axis = up | (tie & _lex_less(cand_axis, best_axis))
-    value = np.where(
-        up | (tie & (cand_value > best_value)), cand_value, best_value
-    )
-    return value, np.where(take_axis[:, None], cand_axis, best_axis)
+    """Per row: the maximum value and the first point that reaches it."""
+    rows = np.arange(len(points))
+    first = values.argmax(axis=1)
+    return values[rows, first], points[rows, first]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,13 +197,17 @@ def _newton_polish(f, derivatives, value, axis, hemisphere, max_step):
     row stops uncertified when its derivatives are undefined (NaN), its
     tangent Hessian is not negative definite by that margin, its step is
     longer than ``max_step`` (the first cap radius), or a step lowers the
-    running maximum by more than 1e-15.  Returns (certified, axes,
-    values, accepted steps, objective evaluations, gradient norms, top
-    eigenvalues), with the steps 0 and the top eigenvalue NaN on
-    uncertified rows; their evaluations still count the trials.
+    running maximum by more than 1e-15.  A row's running maximum is the
+    highest value among its incumbent and its accepted iterates, kept with
+    the first axis that reached it; the last iterate, where the row is
+    certified, may sit up to 1e-15 below it.  Returns (certified, axes
+    and values of the running maxima, accepted steps, objective
+    evaluations, gradient norms, top eigenvalues), with the steps 0 and
+    the top eigenvalue NaN on uncertified rows; their evaluations still
+    count the trials.
     """
     n = len(axis)
-    z, best = axis.copy(), value.copy()
+    z, best_z, best = axis.copy(), axis.copy(), value.copy()
     live = np.ones(n, dtype=bool)
     certified = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=int)
@@ -269,9 +245,11 @@ def _newton_polish(f, derivatives, value, axis, hemisphere, max_step):
         live &= trial_value >= best - _VALUE_SLACK
         steps += live
         z[live] = trial[live]
-        best[live] = np.maximum(best[live], trial_value[live])
+        up = live & (trial_value > best)
+        best[up] = trial_value[up]
+        best_z[up] = trial[up]
     steps[~certified] = 0
-    return certified, z, best, steps, evaluations, grad_norm, top
+    return certified, best_z, best, steps, evaluations, grad_norm, top
 
 
 def maximize_batch(
@@ -296,6 +274,11 @@ def maximize_batch(
     certify stops there; every other row runs the plain rounds up to
     ``refine_rounds`` from its lattice incumbent, and so ends exactly where
     a search without derivatives ends.
+
+    A row keeps the first point that reaches its highest value: the first
+    maximal lattice point, then a cap round's or Newton iterate's point
+    only where its value is strictly higher.  So each reported value is
+    the objective at the reported axis, bit for bit.
     """
     if cfg is None:
         cfg = SphereOptConfig()
@@ -312,11 +295,11 @@ def maximize_batch(
     grad_norm = np.full(n, np.nan)
     top = np.full(n, np.nan)
     if derivatives is not None:
-        certified, z, z_value, steps, newton_evals, grad_norm, top = _newton_polish(
+        certified, axis, value, steps, newton_evals, grad_norm, top = _newton_polish(
             f, derivatives, best_value, best_axis, cfg.hemisphere, radius
         )
-        best_axis[certified] = z[certified]
-        best_value[certified] = z_value[certified]
+        best_axis[certified] = axis[certified]
+        best_value[certified] = value[certified]
         evaluations += newton_evals
 
     m = cfg.local_points
@@ -331,9 +314,9 @@ def maximize_batch(
         # certified rows are finished: their grids collapse onto their axes
         local[certified] = best_axis[certified, None, :]
         cand_value, cand_axis = _row_best(local, _evaluate(f, local))
-        value, axis = _merge(best_value, best_axis, cand_value, cand_axis)
-        best_value = np.where(certified, best_value, value)
-        best_axis = np.where(certified[:, None], best_axis, axis)
+        up = ~certified & (cand_value > best_value)
+        best_value[up] = cand_value[up]
+        best_axis[up] = cand_axis[up]
         evaluations += m * ~certified
         rounds += ~certified
         radius *= cfg.shrink_factor
@@ -359,9 +342,10 @@ def maximize_on_sphere(f, cfg: SphereOptConfig | None = None) -> OptResult:
     A coarse Fibonacci pass is refined by ``refine_rounds`` spherical-cap
     grids whose radius shrinks by ``shrink_factor`` per round, so the
     incumbent value never decreases and the reported value is the maximum
-    over every point examined.  Ties within 1e-14 resolve to the
-    lexicographically smallest axis, making the argmax reproducible.
-    This is the one-row case of :func:`maximize_batch`.
+    over every point examined.  The reported axis is the first point that
+    reached that value, so the value is ``f`` at the axis, bit for bit,
+    and runs are reproducible.  This is the one-row case of
+    :func:`maximize_batch`.
     """
     return maximize_batch(
         lambda z: np.asarray(f(z[0]), dtype=float).reshape(1, -1), 1, cfg

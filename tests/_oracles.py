@@ -13,11 +13,12 @@ Frozen regression constants in the test modules were produced by these
 routines.  The phase-damped objective and mutual information are written
 out by hand from the undamped parameters, independently of the package's
 parameter rescale.  ``serial_sphere_search`` is the one-search-at-a-time
-form of the sphere optimizer (a Python tie loop, ``np.cross``), which the
-lockstep engine must reproduce bit for bit.  ``draw_general_batch_reference``
-is the general sampler without its pre-eigensolve screen; the package's
-sampler must return the same draws and leave the generator in the same
-state.
+form of the sphere optimizer (a Python loop that keeps each grid's first
+maximal point and moves only to a strictly higher value, ``np.cross``),
+which the lockstep engine must reproduce bit for bit.
+``draw_general_batch_reference`` is the general sampler without its
+pre-eigensolve screen; the package's sampler must return the same draws
+and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def jacobi_eigen(
     cyclic complex Jacobi rotations, in the convention of
     ``hermitian_eigen``: eigenvalues descending, each eigenvector's first
     component above 1e-12 in magnitude real and positive, exact ties
-    ordered by the lexicographically larger eigenvector.
+    ordered by the larger eigenvector, compared component by component.
 
     The rotation order is fixed and the off-diagonal Frobenius target is
     1e-13; ``RuntimeError`` when the sweep budget runs out first.
@@ -340,16 +341,15 @@ def damped_discord_reference(params: BlochParams, gamma: float, maximize) -> flo
 
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-_TIE_EPS = 1e-14
 
 
 def _serial_best(points: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
-    vmax = float(values.max())
+    """The maximum value and the first point that reaches it."""
     best = None
     for point, value in zip(points, values):
-        if value >= vmax - _TIE_EPS and (best is None or tuple(point) < tuple(best)):
-            best = point
-    return vmax, np.array(best, dtype=float)
+        if best is None or value > best[0]:
+            best = (float(value), point)
+    return best[0], np.array(best[1], dtype=float)
 
 
 def _serial_cap_grid(center, radius, m, hemisphere):
@@ -375,8 +375,9 @@ def _serial_cap_grid(center, radius, m, hemisphere):
 
 def serial_sphere_search(f, cfg: SphereOptConfig) -> tuple[float, np.ndarray, int]:
     """(value, axis, evaluations) of the Fibonacci pass plus shrinking cap
-    rounds, one objective call per grid on an (m, 3) array; ties within
-    1e-14 go to the lexicographically smallest axis."""
+    rounds, one objective call per grid on an (m, 3) array.  Each grid's
+    candidate is its first maximal point, and a round replaces the
+    incumbent only on a strictly higher value."""
     grid = fibonacci_grid(cfg.grid_points, full_sphere=not cfg.hemisphere)
     best_value, best_axis = _serial_best(grid, np.asarray(f(grid), dtype=float))
     evaluations = len(grid)
@@ -385,11 +386,7 @@ def serial_sphere_search(f, cfg: SphereOptConfig) -> tuple[float, np.ndarray, in
         local = _serial_cap_grid(best_axis, radius, cfg.local_points, cfg.hemisphere)
         value, axis = _serial_best(local, np.asarray(f(local), dtype=float))
         evaluations += len(local)
-        if value > best_value + _TIE_EPS:
+        if value > best_value:
             best_value, best_axis = value, axis
-        elif value >= best_value - _TIE_EPS:
-            if tuple(axis) < tuple(best_axis):
-                best_axis = axis
-            best_value = max(best_value, value)
         radius *= cfg.shrink_factor
     return best_value, best_axis, evaluations

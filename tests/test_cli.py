@@ -111,6 +111,27 @@ def test_compute_malformed_triple_exits_2(capsys):
     assert "expected 3 comma-separated reals" in err
 
 
+@pytest.mark.parametrize(
+    "flags, payload, message",
+    [
+        (["--r", "nan,0,0", "--s", "0,0,0", "--c", "0,0,0"], None, "r must be finite"),
+        ([], [0.1, 0.2, 0.3], "must hold a JSON object"),
+        ([], {"r": [0.1, 0.2], "s": [0, 0, 0], "c": [0, 0, 0]}, "r must be a real 3-vector"),
+        ([], {"r": "abc", "s": [0, 0, 0], "c": [0, 0, 0]}, "could not convert"),
+    ],
+    ids=["nan-flag", "json-list", "short-vector", "string-vector"],
+)
+def test_compute_malformed_state_exits_2(tmp_path, capsys, flags, payload, message):
+    if payload is not None:
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(payload))
+        flags = ["--state", str(state)]
+    code, out, err = run_cli(capsys, "compute", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_compute_non_numeric_component_exits_2(capsys):
     code, _, err = run_cli(capsys, "compute", "--r", "0.1,x,0.2", "--s", "0,0,0",
                            "--c", "0,0,0")

@@ -28,6 +28,7 @@ from discordkit import (
     discord_s0_isotropic_c_eq_r,
     discord_s0_planar,
     entropic_h,
+    gamma_sweep,
     maximize_correlation_objective,
     mutual_information,
     partial_trace,
@@ -603,10 +604,10 @@ def test_newton_polish_matches_forty_round_search():
         value, axis, _ = _forty_round_search(params)
         offset = -entropic_h(0.0, params.r_norm)
         gap = (offset + res.value) - (offset + value)
-        # over 2450 draws the gap ranged over [-8.9e-16, 1.3e-15]: the 40-round
-        # value can sit below the certified maximum, because its axis freezes
-        # inside the 1e-14 tie window
-        assert -1e-15 <= gap <= 2e-15
+        # measured over [-7.8e-16, 2.2e-16] here: a certified row may stop
+        # where its quadratic model still rises up to 1e-15, and above the
+        # 40-round value it sits by rounding only
+        assert -1e-15 <= gap <= 5e-16
         if np.isnan(res.hessian_max_eig):
             # uncertified: the row ends exactly where the 40-round search ends
             assert i >= len(general)
@@ -615,15 +616,17 @@ def test_newton_polish_matches_forty_round_search():
             continue
         assert res.refine_rounds == 0 and res.newton_steps >= 1
         assert res.gradient_norm <= 1e-10 and res.hessian_max_eig < 0.0
-        # the 40-round axis is fixed only to its 1e-14 tie window, which at
-        # curvature lam reaches sqrt(2e-14 / |lam|) from the maximum; axes are
-        # compared up to sign, since z and -z are the same measurement (an
-        # s0-planar maximum lies on the equator, where both are in the
-        # hemisphere).  General draws are curved enough for a 1e-5 cap; the
-        # others reach curvatures near -5e-8, where the window is wider.
+        # the 40-round search moves only on a strictly higher computed value,
+        # so near a weakly curved maximum its axis settles where rounding
+        # hides the rise; the pin allows sqrt(4e-14 / |lam|), where the value
+        # has dropped by 2e-14 at curvature lam.  Axes are compared up to
+        # sign, since z and -z are the same measurement (an s0-planar
+        # maximum lies on the equator, where both are in the hemisphere).
+        # General draws are curved enough for a 1e-6 cap (measured 1.1e-7);
+        # the others reach curvatures near -5e-8, where that reach is wider.
         drift = min(np.abs(res.axis - axis).max(), np.abs(res.axis + axis).max())
         reach = np.sqrt(4e-14 / -res.hessian_max_eig)
-        assert drift <= (min(1e-5, reach) if i < len(general) else reach)
+        assert drift <= (min(1e-6, reach) if i < len(general) else reach)
     assert sum(np.isnan(res.hessian_max_eig) for res in results) <= 2
 
 
@@ -710,3 +713,43 @@ def test_reported_value_covers_every_evaluated_axis(monkeypatch):
     for i, res in enumerate(results):
         top = max(v[i] for trial, v in seen if certified[i] or not trial)
         assert res.value >= top
+
+
+def test_reported_value_is_the_objective_at_the_reported_axis():
+    # every route reports the objective at its own argmax axis, bit for bit;
+    # with a value kept apart from its axis, 68 of these 500 draws disagreed
+    general = draw_general_batch(np.random.default_rng(16), 500)
+    rng = np.random.default_rng(17)
+    damped = [damp_bloch(p, PhaseDamping(g)) for g in (0.5, 1.0) for p in general[:20]]
+    family = [
+        draw(rng)
+        for draw in (draw_s0_planar, draw_r0_isotropic, draw_s0_isotropic, draw_axial_zero)
+        for _ in range(10)
+    ]
+    states = general + damped + family + list(_fallback_states().values())
+
+    def assert_consistent(params, report):
+        offset = -entropic_h(0.0, params.r_norm)
+        assert report.classical_corr == offset + correlation_objective(params, report.argmax_axis)
+
+    for params, report in zip(states, discord_numeric_batch(states)):
+        assert_consistent(params, report)
+    # the one-state routes, on every non-general state and 50 general draws
+    for params in general[:50] + damped + family + list(_fallback_states().values()):
+        res = maximize_correlation_objective(params)
+        assert res.value == correlation_objective(params, res.axis)
+        assert_consistent(params, discord_numeric(params))
+        auto = discord_auto(params)
+        if auto.method == METHOD_NUMERIC:
+            assert_consistent(params, auto)
+    for params in general[:5]:
+        for gamma in (0.3, 1.0):
+            channel = PhaseDamping(gamma)
+            assert_consistent(damp_bloch(params, channel), damped_discord(params, channel))
+        # gamma_sweep reads its rows off one batch of the state and its images
+        grid = np.linspace(0.0, 1.0, 11)
+        images = [damp_bloch(params, PhaseDamping(float(g))) for g in grid]
+        reports = discord_numeric_batch(images)
+        for image, report, (_, q, _) in zip(images, reports, gamma_sweep(params, grid)):
+            assert_consistent(image, report)
+            assert q == report.discord
