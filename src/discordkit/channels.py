@@ -115,10 +115,7 @@ def werner_damped_gap(c: float, gamma: float) -> float:
     """
     _check_werner(c)
     g = PhaseDamping(gamma).gamma
-    terms = np.array(
-        [1.0 + c, 1.0 - 3.0 * c, 1.0 - 3.0 * c + 2.0 * c * g, 1.0 + c - 2.0 * c * g]
-    )
-    vals = _xlog2(terms)
+    vals = _xlog2([1.0 + c, 1.0 - 3.0 * c, 1.0 - 3.0 * c + 2.0 * c * g, 1.0 + c - 2.0 * c * g])
     return 0.25 * float(vals[0] + vals[1] - vals[2] - vals[3])
 
 

@@ -212,7 +212,8 @@ def _curve_rows(params: BlochParams, samples: int):
     t = np.linspace(-1.0, 1.0, samples)
     theta = (rho12 + cc * t) ** 2 + r[2] ** 2
     other = (rho12 - cc * t) ** 2 + r[2] ** 2
-    g = 0.5 * entropic_h(0.0, np.sqrt(theta)) + 0.5 * entropic_h(0.0, np.sqrt(other))
+    h = entropic_h(0.0, np.sqrt(np.stack([theta, other])))
+    g = 0.5 * h[0] + 0.5 * h[1]
     order = np.argsort(theta, kind="stable")
     return theta[order], g[order]
 

@@ -129,10 +129,7 @@ def _gated_state(params: BlochParams) -> tuple[np.ndarray, np.ndarray]:
     # eigensolve.
     rho = _family_matrix(params.r.tolist(), params.s.tolist(), params.c.tolist())
     lam = _eigenvalues(rho)
-    if lam[-1] < EIGENVALUE_FLOOR:
-        raise PhysicalityError(
-            f"parameters give smallest eigenvalue {lam[-1]:.3e} < {EIGENVALUE_FLOOR}"
-        )
+    _check_floor(lam[-1], EIGENVALUE_FLOOR, PhysicalityError, "smallest eigenvalue")
     return rho, lam
 
 
@@ -157,6 +154,13 @@ def _family_matrix(r, s, c) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def _check_floor(smallest, floor: float, error: type[Exception], what: str) -> None:
+    """Raise ``error`` unless ``smallest >= floor``; written so that NaN
+    fails.  The one floor test of every gate in the package."""
+    if not smallest >= floor:
+        raise error(f"{what} {float(smallest):.3e} below {floor}")
 
 
 def _eigenvalues(rho: np.ndarray) -> np.ndarray:
@@ -236,11 +240,8 @@ def check_density_matrix(rho: np.ndarray) -> None:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise PhysicalityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    smallest = float(_eigenvalues(_hermitian_part(rho))[-1])
-    if smallest < EIGENVALUE_FLOOR:
-        raise PhysicalityError(
-            f"smallest eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"
-        )
+    _check_floor(_eigenvalues(_hermitian_part(rho))[-1], EIGENVALUE_FLOOR,
+                 PhysicalityError, "smallest eigenvalue")
 
 
 def _finite_hermitian(rho) -> np.ndarray:
@@ -276,8 +277,7 @@ def hermitian_eigen(rho: np.ndarray) -> Spectrum:
         If an entry is not finite or the input deviates from Hermitian by
         more than 1e-12.
     """
-    rho = _finite_hermitian(rho).astype(complex)
-    lam, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    lam, vecs = np.linalg.eigh(_hermitian_part(_finite_hermitian(rho)))
     cols = [_fix_phase(vecs[:, i].copy()) for i in range(len(lam))]
 
     def sort_key(i: int):
@@ -322,12 +322,20 @@ def bloch_vector(rho2: np.ndarray) -> np.ndarray:
     return np.array([np.trace(rho2 @ sig).real for sig in PAULI])
 
 
-def _xlog2(t: np.ndarray) -> np.ndarray:
-    """t*log2(t) with arguments below 1e-12 clamped to zero."""
+def _xlog2(t) -> np.ndarray:
+    """t*log2(t) elementwise, the one x log x of the package; arguments
+    below 1e-12 (and NaN) give zero, the x log x -> 0 limit.
+
+    Those arguments are set to 1 (1 log2 1 = 0) in place: a float array
+    ``t`` is overwritten, so callers pass a temporary they own (copying
+    the kernel's (6, n, m) arguments added a quarter to its time at
+    n = 12).  Always ``np.log2``: ``math.log2`` differs from it in the
+    last bit on some inputs.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mask = t >= LOG_CLAMP
-    out[mask] = t[mask] * np.log2(t[mask])
+    t[~(t >= LOG_CLAMP)] = 1.0
+    out = np.log2(t)
+    out *= t
     return out
 
 
@@ -340,11 +348,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Hermitian above 1e-12 raises ``PhysicalityError``.
     """
     lam = _eigenvalues(_hermitian_part(_finite_hermitian(rho)))
-    smallest = float(lam[-1])
-    if smallest < EIGENVALUE_FLOOR:
-        raise PhysicalityError(
-            f"eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"
-        )
+    _check_floor(lam[-1], EIGENVALUE_FLOOR, PhysicalityError, "eigenvalue")
     lam = np.clip(lam, 0.0, None)
     return float(-np.sum(_xlog2(lam)))
 
@@ -355,25 +359,21 @@ def entropic_h(eps, x):
     H_eps(x) = (1+eps+x)/2 * log2(1+eps+x) + (1+eps-x)/2 * log2(1+eps-x)
 
     Even in ``x``.  Both arguments broadcast; the return is a float for
-    scalar input and an array otherwise.  Log arguments inside
-    [-1e-12, 1e-12) are clamped to zero (the x log x -> 0 limit).
+    scalar input and an array otherwise.  The two log arguments are
+    stacked and go through one floor check and one :func:`_xlog2` pass;
+    those inside [-1e-12, 1e-12) contribute zero (the x log x -> 0 limit).
 
     Raises
     ------
     DomainError
         If 1 + eps - |x| < -1e-12, i.e. a log argument is genuinely
-        negative rather than rounding noise.
+        negative rather than rounding noise, or if an argument is NaN.
     """
-    eps_arr, x_arr = np.broadcast_arrays(
-        np.asarray(eps, dtype=float), np.asarray(x, dtype=float)
-    )
-    t_plus = 1.0 + eps_arr + x_arr
-    t_minus = 1.0 + eps_arr - x_arr
-    low = min(float(t_plus.min()) if t_plus.size else 0.0,
-              float(t_minus.min()) if t_minus.size else 0.0)
-    if low < -LOG_CLAMP:
-        raise DomainError(f"log argument {low:.3e} below -{LOG_CLAMP}")
-    out = 0.5 * (_xlog2(t_plus) + _xlog2(t_minus))
+    eps_arr, x_arr = np.asarray(eps, dtype=float), np.asarray(x, dtype=float)
+    t = np.stack([1.0 + eps_arr + x_arr, 1.0 + eps_arr - x_arr])
+    _check_floor(t.min(initial=np.inf), -LOG_CLAMP, DomainError, "log argument")
+    xlog = _xlog2(t)
+    out = 0.5 * (xlog[0] + xlog[1])
     if np.isscalar(eps) and np.isscalar(x):
         return float(out)
     return out

@@ -24,6 +24,7 @@ from .density import (
     EIGENVALUE_FLOOR,
     BlochParams,
     entropic_h,
+    _check_floor,
     _gated_state,
     _isotropic_spectrum,
     _planar_radii,
@@ -77,7 +78,7 @@ class ThetaInterval(NamedTuple):
 def theta_range(r_norm: float, c: float) -> ThetaInterval:
     """Range of theta = |r + c z|^2 over unit axes z:
     [(|r|-|c|)^2, (|r|+|c|)^2]."""
-    if r_norm < 0:
+    if not r_norm >= 0:
         raise ValueError("r_norm must be nonnegative")
     return ThetaInterval((r_norm - abs(c)) ** 2, (r_norm + abs(c)) ** 2)
 
@@ -102,18 +103,14 @@ def reduced_correlation_objective(theta, r_norm: float, c: float):
     if np.any(theta_arr < -1e-15) or np.any(theta_arr > total + 1e-15):
         raise DomainError(f"theta outside [0, {total!r}]")
     theta_arr = np.clip(theta_arr, 0.0, total)
-    g = 0.5 * entropic_h(0.0, np.sqrt(theta_arr)) + 0.5 * entropic_h(
-        0.0, np.sqrt(total - theta_arr)
-    )
+    h = entropic_h(0.0, np.sqrt(np.stack([theta_arr, total - theta_arr])))
+    g = 0.5 * h[0] + 0.5 * h[1]
     return float(g) if np.isscalar(theta) else g
 
 
 def _check_eigenvalues(lam, label: str) -> None:
-    smallest = float(np.min(lam))
-    if smallest < EIGENVALUE_FLOOR:
-        raise DomainError(
-            f"parameters leave the {label} family (eigenvalue {smallest:.3e})"
-        )
+    _check_floor(np.min(lam), EIGENVALUE_FLOOR, DomainError,
+                 f"parameters leave the {label} family: eigenvalue")
 
 
 def discord_s0_isotropic(r_norm: float, c: float) -> float:
@@ -126,7 +123,7 @@ def discord_s0_isotropic(r_norm: float, c: float) -> float:
     :func:`discord_s0_isotropic_c_eq_r` at ``c = |r| != 0``; all three
     expressions agree where they overlap.
     """
-    if r_norm < 0:
+    if not r_norm >= 0:
         raise ValueError("r_norm must be nonnegative")
     _check_eigenvalues(_isotropic_spectrum(r_norm, c), "s0-isotropic")
     if r_norm == 0.0:
@@ -134,11 +131,11 @@ def discord_s0_isotropic(r_norm: float, c: float) -> float:
     if c == r_norm:
         return discord_s0_isotropic_c_eq_r(c)
     big = np.sqrt(4 * c**2 + r_norm**2)
-    return (
-        0.5 * entropic_h(c, r_norm)
-        + 0.5 * entropic_h(-c, big)
-        - 0.5 * (entropic_h(0.0, r_norm + abs(c)) + entropic_h(0.0, abs(r_norm - abs(c))))
+    h = entropic_h(
+        np.array([c, -c, 0.0, 0.0]),
+        np.array([r_norm, big, r_norm + abs(c), abs(r_norm - abs(c))]),
     )
+    return float(0.5 * h[0] + 0.5 * h[1] - 0.5 * (h[2] + h[3]))
 
 
 def _check_werner(c: float) -> None:
@@ -155,11 +152,8 @@ def werner_discord(c: float) -> float:
     times, and (1-3c)/4).
     """
     _check_werner(c)
-    return 0.25 * float(
-        _xlog2(np.array(1.0 - 3.0 * c))
-        - 2.0 * _xlog2(np.array(1.0 - c))
-        + _xlog2(np.array(1.0 + c))
-    )
+    v = _xlog2([1.0 - 3.0 * c, 1.0 - c, 1.0 + c])
+    return 0.25 * float(v[0] - 2.0 * v[1] + v[2])
 
 
 def discord_s0_isotropic_c_eq_r(c: float) -> float:
@@ -174,11 +168,8 @@ def discord_s0_isotropic_c_eq_r(c: float) -> float:
         raise DomainError(f"c = {c!r} outside (0, 1/(1+sqrt5)] for the c=|r| slice")
     root5 = np.sqrt(5.0)
     _check_eigenvalues(_isotropic_spectrum(c, c), "c=|r|")
-    return 0.25 * float(
-        _xlog2(np.array(1.0 - c + root5 * c))
-        + _xlog2(np.array(1.0 - c - root5 * c))
-        - _xlog2(np.array(1.0 - 2.0 * c))
-    )
+    v = _xlog2([1.0 - c + root5 * c, 1.0 - c - root5 * c, 1.0 - 2.0 * c])
+    return 0.25 * float(v[0] + v[1] - v[2])
 
 
 def discord_r0_isotropic(s_norm: float, c: float) -> float:
@@ -188,11 +179,12 @@ def discord_r0_isotropic(s_norm: float, c: float) -> float:
 
     Reduces to :func:`werner_discord` at ``|s| = 0``.
     """
-    if s_norm < 0:
+    if not s_norm >= 0:
         raise ValueError("s_norm must be nonnegative")
     _check_eigenvalues(_isotropic_spectrum(s_norm, c), "r0-isotropic")
     big = np.sqrt(4 * c**2 + s_norm**2)
-    return 0.5 * entropic_h(-c, big) - 0.5 * entropic_h(-c, s_norm)
+    h = entropic_h(-c, np.array([big, s_norm]))
+    return float(0.5 * h[0] - 0.5 * h[1])
 
 
 def discord_axial(params: BlochParams, cfg: SphereOptConfig | None = None) -> float:
@@ -228,12 +220,8 @@ def discord_s0_planar(r, c: float) -> float:
     rho12 = np.sqrt(r[0] ** 2 + r[1] ** 2)
     beta_plus = np.sqrt((rho12 + c) ** 2 + r[2] ** 2)
     beta_minus = np.sqrt((rho12 - c) ** 2 + r[2] ** 2)
-    return 0.5 * (
-        entropic_h(0.0, alpha_plus)
-        + entropic_h(0.0, alpha_minus)
-        - entropic_h(0.0, beta_plus)
-        - entropic_h(0.0, beta_minus)
-    )
+    h = entropic_h(0.0, np.array([alpha_plus, alpha_minus, beta_plus, beta_minus]))
+    return float(0.5 * (h[0] + h[1] - h[2] - h[3]))
 
 
 def _mutual_informations(states, spectra) -> tuple[np.ndarray, np.ndarray]:

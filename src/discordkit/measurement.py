@@ -16,8 +16,9 @@ import numpy as np
 
 from .density import (
     EIGENVALUE_FLOOR,
-    LOG_CLAMP,
     BlochParams,
+    _check_floor,
+    _xlog2,
     qubit_state,
     von_neumann_entropy,
 )
@@ -62,9 +63,10 @@ def axis_from_su2(q: UnitQuaternion) -> np.ndarray:
     Raises
     ------
     NormError
-        If the quaternion norm deviates from 1 by more than 1e-9.
+        If the quaternion norm deviates from 1 by more than 1e-9, or is
+        NaN.
     """
-    if abs(q.norm_squared - 1.0) > _QUAT_NORM_TOL:
+    if not abs(q.norm_squared - 1.0) <= _QUAT_NORM_TOL:
         raise NormError(f"quaternion norm^2 = {q.norm_squared!r} deviates from 1")
     z = np.array(
         [
@@ -92,7 +94,7 @@ class Ensemble:
 def _check_axis(z: np.ndarray) -> None:
     norms = np.linalg.norm(z, axis=-1)
     dev = float(np.max(np.abs(norms - 1.0)))
-    if dev > _AXIS_NORM_TOL:
+    if not dev <= _AXIS_NORM_TOL:  # written so that NaN fails
         raise NormError(f"measurement axis norm deviates from 1 by {dev:.3e}")
 
 
@@ -213,12 +215,8 @@ def _correlation_kernel(
     shape of the batch (see :func:`_log_arguments`).
     """
     t = _log_arguments(r, s, c, z)[0]
-    low = float(t.min())
-    if low < _LOG_ARG_FLOOR:
-        raise DomainError(f"log argument {low:.3e} below {_LOG_ARG_FLOOR}")
-    t[~(t >= LOG_CLAMP)] = 1.0  # 1 log 1 = 0
-    xlog = np.log2(t)
-    xlog *= t
+    _check_floor(t.min(), _LOG_ARG_FLOOR, DomainError, "log argument")
+    xlog = _xlog2(t)
     return (
         -(0.5 * (xlog[0] + xlog[1]))
         + 0.5 * (0.5 * (xlog[2] + xlog[3]))

@@ -14,6 +14,7 @@ from discordkit import (
     PhaseDamping,
     PhysicalityError,
     apply_kraus,
+    bloch_vector,
     build_state,
     check_density_matrix,
     entropic_h,
@@ -177,6 +178,11 @@ def test_extract_bloch_round_trip():
         np.testing.assert_allclose(back.r, params.r, atol=1e-12)
         np.testing.assert_allclose(back.s, params.s, atol=1e-12)
         np.testing.assert_allclose(back.c, params.c, atol=1e-12)
+    # the marginals' Bloch vectors are r and s, up to rounding in the traces
+    for params in draw_general_batch(rng, 5):
+        rho = build_state(params)
+        np.testing.assert_allclose(bloch_vector(partial_trace(rho, "a")), params.r, atol=1e-15)
+        np.testing.assert_allclose(bloch_vector(partial_trace(rho, "b")), params.s, atol=1e-15)
 
 
 def test_extract_bloch_rejects_off_diagonal_correlations():
@@ -422,3 +428,18 @@ def test_entropic_h_vectorized_matches_scalar():
     vec = entropic_h(0.1, xs)
     for x, v in zip(xs, vec):
         assert v == pytest.approx(entropic_h(0.1, float(x)), abs=0)
+    # an eps array, with log arguments 1 + eps - |x| on both sides of the
+    # 1e-12 clamp (2e-12 is computed, 5e-13 and -5e-13 give zero)
+    eps = np.array([0.1, -0.3, 0.0, 0.0, 0.0, 0.0, -0.5, 0.2])
+    xs = np.array([0.25, -0.6, 1.0 - 2e-12, 1.0 - 5e-13, 1.0 + 5e-13, 1.0, 0.5 - 2e-12, 0.0])
+    vec = entropic_h(eps, xs)
+    assert vec.shape == eps.shape
+    for e, x, v in zip(eps, xs, vec):
+        scalar = entropic_h(float(e), float(x))
+        assert type(scalar) is float
+        assert v == scalar
+        assert entropic_h(np.array(e), np.array(x)) == scalar  # 0-d arrays
+        assert entropic_h(np.array([e]), x)[0] == scalar
+    for k in (3, 4, 5):  # the clamped log argument adds exactly zero
+        t = 1.0 + xs[k]
+        assert vec[k] == 0.5 * (np.log2(t) * t)

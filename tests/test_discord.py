@@ -13,6 +13,7 @@ from discordkit import (
     FamilyError,
     PhaseDamping,
     PhysicalityError,
+    RangeError,
     SphereOptConfig,
     build_state,
     classical_correlation_numeric,
@@ -32,9 +33,12 @@ from discordkit import (
     maximize_correlation_objective,
     mutual_information,
     partial_trace,
+    planar_damped_gap,
     reduced_correlation_objective,
     theta_range,
     von_neumann_entropy,
+    werner_damped_gap,
+    werner_damped_gap_dgamma,
     werner_discord,
 )
 from discordkit import (
@@ -376,6 +380,50 @@ def test_measurement_rejects_non_unit_axis(ref_state_a):
 
     with pytest.raises(NormError):
         correlation_objective(ref_state_a, [0.0, 0.0, 0.5])
+
+
+NAN = float("nan")
+NAN_CASES = [
+    (werner_discord, (NAN,), DomainError),
+    (discord_s0_isotropic, (NAN, 0.2), ValueError),
+    (discord_s0_isotropic, (0.2, NAN), DomainError),
+    (discord_s0_isotropic, (0.0, NAN), DomainError),
+    (discord_s0_isotropic_c_eq_r, (NAN,), DomainError),
+    (discord_r0_isotropic, (NAN, 0.2), ValueError),
+    (discord_r0_isotropic, (0.2, NAN), DomainError),
+    (discord_s0_planar, ([NAN, 0.0, 0.0], 0.2), DomainError),
+    (discord_s0_planar, ([0.1, NAN, 0.0], 0.2), DomainError),
+    (discord_s0_planar, ([0.1, 0.0, NAN], 0.2), DomainError),
+    (discord_s0_planar, ([0.1, 0.2, 0.3], NAN), DomainError),
+    (werner_damped_gap, (NAN, 0.5), DomainError),
+    (werner_damped_gap, (0.2, NAN), RangeError),
+    (werner_damped_gap_dgamma, (NAN, 0.5), DomainError),
+    (planar_damped_gap, ([NAN, 0.0, 0.0], 0.2, 0.5), DomainError),
+    (planar_damped_gap, ([0.1, 0.2, NAN], 0.2, 0.5), DomainError),
+    (planar_damped_gap, ([0.1, 0.2, 0.3], NAN, 0.5), DomainError),
+    (planar_damped_gap, ([0.1, 0.2, 0.3], 0.2, NAN), RangeError),
+    (entropic_h, (NAN, 0.3), DomainError),
+    (entropic_h, (0.0, NAN), DomainError),
+    (entropic_h, (0.0, np.array([0.1, NAN])), DomainError),
+    (reduced_correlation_objective, (NAN, 0.3, 0.2), DomainError),
+    (reduced_correlation_objective, (np.array([0.1, NAN]), 0.3, 0.2), DomainError),
+    (reduced_correlation_objective, (0.1, NAN, 0.2), DomainError),
+    (reduced_correlation_objective, (0.1, 0.3, NAN), DomainError),
+    (theta_range, (NAN, 0.2), ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, error",
+    NAN_CASES,
+    ids=[f"{f.__name__}-{k}" for k, (f, _, _) in enumerate(NAN_CASES)],
+)
+def test_nan_state_arguments_raise(func, args, error):
+    # A NaN norm, c, r component, eps, x or theta fails the floor or norm
+    # checks instead of coming out as a number; a NaN gamma fails the
+    # channel's range check.
+    with pytest.raises(error):
+        func(*args)
 
 
 def test_classical_correlation_identity():

@@ -62,6 +62,20 @@ def test_axis_unit_norm_on_random_quaternions():
 def test_axis_rejects_bad_norm():
     with pytest.raises(NormError):
         axis_from_su2(UnitQuaternion(1.0, 0.1, 0.0, 0.0))
+    # NaN norms fail every norm check as well
+    nan = float("nan")
+    params = BlochParams([0.1, 0.0, 0.2], [0.0, 0.3, 0.1], [0.2, -0.1, 0.3])
+    axis = [nan, 0.0, 1.0]
+    for call in (
+        lambda: axis_from_su2(UnitQuaternion(nan, 0.0, 0.0, 0.0)),
+        lambda: correlation_objective(params, axis),
+        lambda: correlation_objective(params, [[0.0, 0.0, 1.0], axis]),
+        lambda: damped_correlation_objective(params, 0.3, axis),
+        lambda: post_measurement_ensemble(params, axis),
+        lambda: conditional_entropy(params, axis),
+    ):
+        with pytest.raises(NormError):
+            call()
 
 
 def test_ensemble_equal_probabilities_for_zero_s():
