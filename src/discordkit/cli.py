@@ -34,9 +34,7 @@ from .discord import (
     METHOD_S0_PLANAR,
     METHOD_WERNER,
     _analytic_dispatch,
-    discord_auto,
-    discord_numeric,
-    discord_numeric_batch,
+    _reports,
     reduced_correlation_objective,
     theta_range,
 )
@@ -180,7 +178,7 @@ def _emit_json(payload: dict, out) -> None:
 def _cmd_compute(args, out) -> int:
     params, label = _state_from_args(args)
     cfg = _cfg_from_args(args)
-    report = discord_numeric(params, cfg) if args.numeric else discord_auto(params, cfg)
+    report = _reports([params], cfg, closed_forms=not args.numeric)[0]
     payload = _report_payload(params, label, report)
     if args.format == "json":
         _emit_json(payload, out)
@@ -267,16 +265,14 @@ def _verify_family(name: str, rng, draws: int, cfg) -> float:
     when any deviation is NaN.
 
     The closed-form value is the one ``discord_auto`` serves.  All draws
-    are taken first and the numeric oracle runs on them in one batch; the
+    are taken first, and each route reports on them in one batch; the
     generator is consumed exactly as by one draw at a time.
     """
     states = [_VERIFY_SAMPLERS[name](rng) for _ in range(draws)]
-    reports = discord_numeric_batch(states, cfg)
+    auto = _reports(states, cfg, closed_forms=True)
+    numeric = _reports(states, cfg, closed_forms=False)
     # np.max propagates NaN, where the builtin max would keep its first argument
-    return float(np.max([
-        abs(discord_auto(params, cfg).discord - report.discord)
-        for params, report in zip(states, reports)
-    ]))
+    return float(np.max([abs(a.discord - n.discord) for a, n in zip(auto, numeric)]))
 
 
 def _cmd_verify(args, out) -> int:

@@ -37,6 +37,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 LOG_CLAMP = 1e-12
+# Floor of every log argument 1 + eps +- x: four times an eigenvalue of a
+# state that passed the PSD gate, or of a 2x2 compression of one.
+_LOG_ARG_FLOOR = 4.0 * EIGENVALUE_FLOOR
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -361,17 +364,17 @@ def entropic_h(eps, x):
     Even in ``x``.  Both arguments broadcast; the return is a float for
     scalar input and an array otherwise.  The two log arguments are
     stacked and go through one floor check and one :func:`_xlog2` pass;
-    those inside [-1e-12, 1e-12) contribute zero (the x log x -> 0 limit).
+    those inside [-4e-9, 1e-12) contribute zero (the x log x -> 0 limit).
 
     Raises
     ------
     DomainError
-        If 1 + eps - |x| < -1e-12, i.e. a log argument is genuinely
-        negative rather than rounding noise, or if an argument is NaN.
+        If 1 + eps - |x| < -4e-9, below four times the PSD gate's
+        eigenvalue floor, or if an argument is NaN.
     """
     eps_arr, x_arr = np.asarray(eps, dtype=float), np.asarray(x, dtype=float)
     t = np.stack([1.0 + eps_arr + x_arr, 1.0 + eps_arr - x_arr])
-    _check_floor(t.min(initial=np.inf), -LOG_CLAMP, DomainError, "log argument")
+    _check_floor(t.min(initial=np.inf), _LOG_ARG_FLOOR, DomainError, "log argument")
     xlog = _xlog2(t)
     out = 0.5 * (xlog[0] + xlog[1])
     if np.isscalar(eps) and np.isscalar(x):

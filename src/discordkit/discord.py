@@ -94,10 +94,14 @@ def reduced_correlation_objective(theta, r_norm: float, c: float):
 
     Raises
     ------
+    ValueError
+        For a negative ``r_norm``.
     DomainError
         For theta outside [0, 2(|r|^2 + c^2)] (or propagated when a log
         argument leaves [0, 1]).
     """
+    if r_norm < 0:  # NaN passes here and fails the floor check
+        raise ValueError("r_norm must be nonnegative")
     theta_arr = np.asarray(theta, dtype=float)
     total = 2.0 * (r_norm**2 + c**2)
     if np.any(theta_arr < -1e-15) or np.any(theta_arr > total + 1e-15):
@@ -214,6 +218,8 @@ def discord_s0_planar(r, c: float) -> float:
     r1 = r2 = 0.
     """
     r = np.asarray(r, dtype=float)
+    if r.shape != (3,):  # NaN components fail the eigenvalue check
+        raise ValueError(f"r must be a real 3-vector, got shape {r.shape}")
     alpha_plus, alpha_minus = _planar_radii(r, c)
     # The eigenvalues are (1 +- a+-)/4; (1 - a+)/4 is the smallest.
     _check_eigenvalues(0.25 * (1 - alpha_plus), "s0-planar")
@@ -286,31 +292,10 @@ def maximize_correlation_objective(
 def classical_correlation_numeric(
     params: BlochParams, cfg: SphereOptConfig | None = None
 ) -> tuple[float, np.ndarray]:
-    """Classical correlation C = -H_0(|r|) + max_z G(z) and its maximizer."""
-    res = maximize_correlation_objective(params, cfg)
-    return -entropic_h(0.0, params.r_norm) + res.value, res.axis
-
-
-def _numeric_reports(states, spectra, results) -> list[DiscordReport]:
-    """The numeric reports of ``states`` from their gated spectra and
-    search results, built in one vectorized pass (see
-    :func:`_mutual_informations`); each report is the one a batch of that
-    state alone gives, bit for bit.  C = -H_0(|r|) + max_z G(z), as in
-    :func:`classical_correlation_numeric`."""
-    mutual, h_r = _mutual_informations(states, spectra)
-    classical = -h_r + np.array([res.value for res in results])
-    discord = mutual - classical
-    return [
-        DiscordReport(
-            mutual_info=float(mutual[i]),
-            classical_corr=float(classical[i]),
-            discord=float(discord[i]),
-            argmax_axis=res.axis,
-            spectrum=spectrum,
-            method=METHOD_NUMERIC,
-        )
-        for i, (spectrum, res) in enumerate(zip(spectra, results))
-    ]
+    """Classical correlation C = -H_0(|r|) + max_z G(z) and its maximizer,
+    as :func:`discord_numeric` reports them."""
+    report = discord_numeric(params, cfg)
+    return report.classical_corr, report.argmax_axis
 
 
 def discord_numeric(
@@ -324,18 +309,47 @@ def discord_numeric_batch(
     params_seq, cfg: SphereOptConfig | None = None
 ) -> list[DiscordReport]:
     """Numeric discord of every state in ``params_seq``; each report is
-    independent of the batch it came in.
+    independent of the batch it came in (see :func:`_reports`)."""
+    return _reports(list(params_seq), cfg, closed_forms=False)
 
-    Every state passes the PSD gate before any search starts; the
-    searches then run in lockstep blocks (see :func:`_correlation_search`),
-    and the reports are built in one vectorized pass over the whole batch
-    (see :func:`_numeric_reports`).
+
+def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[DiscordReport]:
+    """The reports of ``states``: the one route from a state to its report.
+
+    Every state passes the PSD gate before anything else runs.  With
+    ``closed_forms`` set, :func:`_analytic_dispatch` serves the states of
+    its families, and C = I - Q; the other states (all of them otherwise)
+    go through one :func:`_correlation_search`, and C = -H_0(|r|) +
+    max_z G(z).  The mutual informations come from one vectorized pass
+    (see :func:`_mutual_informations`), so each report is the one a batch
+    of that state alone gives, bit for bit.
     """
-    states = list(params_seq)
     if not states:
         return []
     spectra = [_gated_state(p)[1] for p in states]
-    return _numeric_reports(states, spectra, _correlation_search(states, cfg))
+    hits = list(map(_analytic_dispatch, states)) if closed_forms else [None] * len(states)
+    misses = [p for p, hit in zip(states, hits) if hit is None]
+    found = iter(_correlation_search(misses, cfg) if misses else ())
+    mutual, h_r = _mutual_informations(states, spectra)
+    reports = []
+    for spectrum, hit, mutual_i, h_r_i in zip(spectra, hits, mutual.tolist(), h_r.tolist()):
+        if hit is None:
+            res = next(found)
+            method, axis = METHOD_NUMERIC, res.axis
+            classical = float(-h_r_i + res.value)
+            value = mutual_i - classical
+        else:
+            method, value, axis = hit
+            classical = mutual_i - value
+        reports.append(DiscordReport(
+            mutual_info=mutual_i,
+            classical_corr=classical,
+            discord=value,
+            argmax_axis=axis,
+            spectrum=spectrum,
+            method=method,
+        ))
+    return reports
 
 
 def _unit_or_z(v: np.ndarray) -> np.ndarray:
@@ -381,17 +395,4 @@ def discord_auto(
 ) -> DiscordReport:
     """Discord through the closed form whose family preconditions match,
     falling back to the numeric path; the method tag names the route."""
-    spectrum = _gated_state(params)[1]  # gates physicality first
-    hit = _analytic_dispatch(params)
-    if hit is None:  # the report discord_numeric builds
-        return _numeric_reports([params], [spectrum], _correlation_search([params], cfg))[0]
-    method, value, axis = hit
-    mutual = float(_mutual_informations([params], [spectrum])[0][0])
-    return DiscordReport(
-        mutual_info=mutual,
-        classical_corr=mutual - value,
-        discord=value,
-        argmax_axis=axis,
-        spectrum=spectrum,
-        method=method,
-    )
+    return _reports([params], cfg, closed_forms=True)[0]

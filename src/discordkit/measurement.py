@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (
-    EIGENVALUE_FLOOR,
+    _LOG_ARG_FLOOR,
     BlochParams,
     _check_floor,
     _xlog2,
@@ -27,7 +27,6 @@ from .errors import DegenerateBranchError, DomainError, NormError
 _BRANCH_FLOOR = 1e-12
 _QUAT_NORM_TOL = 1e-9
 _AXIS_NORM_TOL = 1e-9
-_LOG_ARG_FLOOR = 4.0 * EIGENVALUE_FLOOR
 # Derivatives are reported only where every log argument and x+- is at
 # least this, away from the domain edge and from where x+- is not
 # differentiable.  A Newton step of sphereopt (up to 0.224 rad by default)
@@ -93,7 +92,7 @@ class Ensemble:
 
 def _check_axis(z: np.ndarray) -> None:
     norms = np.linalg.norm(z, axis=-1)
-    dev = float(np.max(np.abs(norms - 1.0)))
+    dev = float(np.max(np.abs(norms - 1.0), initial=0.0))
     if not dev <= _AXIS_NORM_TOL:  # written so that NaN fails
         raise NormError(f"measurement axis norm deviates from 1 by {dev:.3e}")
 
@@ -208,14 +207,14 @@ def _correlation_kernel(
 
     Every log argument 1 + eps +- x of the three entropic terms is four
     times an eigenvalue of a 2x2 compression of the state, so on a state
-    that passed the PSD gate it is at least 4 * EIGENVALUE_FLOOR.  Log
+    that passed the PSD gate it is at least ``density._LOG_ARG_FLOOR``.  Log
     arguments from that bound up to 1e-12 contribute zero (the
     x log x -> 0 limit); anything lower raises ``DomainError``.  Each
     value depends on its state and axis alone, bit for bit, whatever the
     shape of the batch (see :func:`_log_arguments`).
     """
     t = _log_arguments(r, s, c, z)[0]
-    _check_floor(t.min(), _LOG_ARG_FLOOR, DomainError, "log argument")
+    _check_floor(t.min(initial=np.inf), _LOG_ARG_FLOOR, DomainError, "log argument")
     xlog = _xlog2(t)
     return (
         -(0.5 * (xlog[0] + xlog[1]))

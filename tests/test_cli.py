@@ -193,6 +193,21 @@ def test_compute_numeric_just_past_singlet_bound_exits_0(capsys):
     assert payload["discord"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_compute_closed_form_below_zero_eigenvalue_exits_0(capsys):
+    """lambda_min = -5e-10 passes the PSD gate, so the s0-isotropic closed
+    form answers too, and agrees with the numeric route."""
+    c = "0.3104402645750132"
+    flags = ["--r=0,0,0.3", "--s=0,0,0", f"--c={c},{c},{c}"]
+    code, out, _ = run_cli(capsys, "compute", *flags)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "s0-isotropic"
+    assert -1e-9 <= min(payload["spectrum"]) < 0.0
+    code, out, _ = run_cli(capsys, "compute", "--numeric", *flags)
+    assert code == 0
+    assert payload["discord"] == pytest.approx(json.loads(out)["discord"], abs=1e-8)
+
+
 def _curve(capsys, *argv):
     code, out, _ = run_cli(capsys, "curve", *argv)
     assert code == 0

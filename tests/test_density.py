@@ -423,6 +423,14 @@ def test_entropic_h_domain_error():
         entropic_h(-0.5, 0.8)
 
 
+def test_entropic_h_floor_is_the_psd_gates():
+    # a log argument is four times an eigenvalue, and the PSD gate passes
+    # eigenvalues down to -1e-9: log arguments down to -4e-9 count as zero
+    assert np.isfinite(entropic_h(0.0, 1.0 + 2e-9))
+    with pytest.raises(DomainError):
+        entropic_h(0.0, 1.0 + 5e-9)
+
+
 def test_entropic_h_vectorized_matches_scalar():
     xs = np.array([0.0, 0.25, 0.5, 0.99])
     vec = entropic_h(0.1, xs)

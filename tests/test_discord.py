@@ -167,6 +167,12 @@ def test_reduced_objective_domain_error():
         reduced_correlation_objective(0.5, 0.3, 0.2)
 
 
+def test_reduced_objective_rejects_a_negative_norm():
+    # the value for -0.3 would be the one for +0.3
+    with pytest.raises(ValueError, match="r_norm"):
+        reduced_correlation_objective(0.1, -0.3, 0.2)
+
+
 def test_s0_isotropic_zero_correlation_gives_zero():
     rng = np.random.default_rng(131)
     for _ in range(20):
@@ -336,6 +342,16 @@ def test_planar_matches_numeric():
 def test_planar_rejects_outside_family():
     with pytest.raises(DomainError):
         discord_s0_planar([0.9, 0.0, 0.0], 0.6)
+
+
+@pytest.mark.parametrize("route", [
+    lambda r: discord_s0_planar(r, 0.2),
+    lambda r: planar_damped_gap(r, 0.2, 0.5),
+], ids=["closed-form", "damped-gap"])
+@pytest.mark.parametrize("r", [[0.1, 0.2], [0.1, 0.2, 0.0, 0.0], [[0.1, 0.2, 0.0]]])
+def test_planar_rejects_a_malformed_r(route, r):
+    with pytest.raises(ValueError, match="r must be a real 3-vector"):
+        route(r)
 
 
 def test_numeric_quantum_classical_states_zero():
@@ -616,6 +632,35 @@ def test_numeric_batch_gates_every_state_before_searching(monkeypatch):
         discord_numeric_batch([SINGLET] * 40 + [unphysical])
     assert searches == []
     assert discord_numeric_batch([]) == []
+
+
+def test_one_builder_batch_equals_discord_auto_state_by_state():
+    # family draws interleaved with general ones: the closed forms serve
+    # some states, the others share one search, and every report must
+    # come back to its own state
+    rng = np.random.default_rng(14)
+    samplers = (draw_s0_isotropic, draw_r0_isotropic, draw_axial_zero, draw_s0_planar)
+    states = [
+        p for k, general in enumerate(draw_general_batch(rng, 16))
+        for p in (samplers[k % 4](rng), general)
+    ]
+    reports = discord_module._reports(states, None, closed_forms=True)
+    assert len(reports) == len(states)
+    methods = {report.method for report in reports}
+    assert METHOD_NUMERIC in methods and len(methods) >= 4
+    for params, report in zip(states, reports):
+        _assert_same_report(report, discord_auto(params))
+
+
+@pytest.mark.parametrize("params", [
+    BlochParams([0.9, 0, 0], [0, 0, 0], [0.5, 0.5, 0.5]),  # once a DomainError
+    BlochParams([0, 0, 0], [0, 0, 0], [1, 1, 1]),  # once C = 1
+])
+def test_classical_correlation_numeric_gates_physicality(params):
+    # the value is read off discord_numeric's report, so the PSD gate
+    # runs before the search
+    with pytest.raises(PhysicalityError):
+        classical_correlation_numeric(params)
 
 
 def _forty_round_search(

@@ -214,6 +214,13 @@ def test_objective_batch_matches_scalar(ref_state_a):
         assert value == correlation_objective(ref_state_a, z)
 
 
+def test_objectives_of_an_empty_axis_batch_are_empty(ref_state_a):
+    axes = np.empty((0, 3))
+    for values in (correlation_objective(ref_state_a, axes),
+                   damped_correlation_objective(ref_state_a, 0.3, axes)):
+        assert values.shape == (0,)
+
+
 def test_objective_reference_maximum(ref_state_a):
     from discordkit import maximize_correlation_objective
 

@@ -111,6 +111,20 @@ def test_states_on_the_psd_boundary(seed, lam_min):
 
 
 @_SETTINGS
+@given(st.sampled_from(_SAMPLERS[1:]), st.integers(0, 2**32 - 1), st.floats(-0.99e-9, 1e-9))
+def test_family_states_on_the_psd_boundary(draw, seed, lam_min):
+    # as above, on the closed-form families (scaling keeps a state in its
+    # family), down to the gate's floor: every log argument is at least
+    # four times lam_min, and both routes answer
+    p = draw(np.random.default_rng(seed))
+    t = (0.25 - lam_min) / (0.25 - np.linalg.eigvalsh(build_state(p))[0])
+    edge = BlochParams(t * p.r, t * p.s, t * p.c)
+    auto, numeric = discord_auto(edge), discord_numeric(edge)
+    assert np.isfinite([auto.discord, numeric.discord]).all()
+    assert abs(auto.discord - numeric.discord) <= 1e-8
+
+
+@_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.sampled_from((1e-3, 1e-6, 1e-9)),
        st.integers(0, 2), st.floats(-1.0, 1.0))
 def test_nearly_pure_second_marginal(seed, gap, axis, a):
