@@ -44,8 +44,6 @@ METHOD_S0_PLANAR = "s0-planar"
 
 # Tolerance of every family predicate.
 _FAMILY_TOL = 1e-12
-# States per lockstep search in discord_numeric_batch.
-_BATCH_BLOCK = 32
 # PSD bound of the c = |r| sub-family: (1-c)^2 >= 5 c^2.
 C_EQ_R_MAX = 1.0 / (1.0 + np.sqrt(5.0))
 
@@ -266,20 +264,14 @@ def _discord_cfg(cfg: SphereOptConfig | None) -> SphereOptConfig:
 
 def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     """Sphere maxima of the correlation objectives of ``states``: one
-    Newton-polished :func:`maximize_batch` per block of at most 32 states,
-    which bounds the memory of the shared Fibonacci pass."""
-    eff = _discord_cfg(cfg)
-    results: list[OptResult] = []
-    for start in range(0, len(states), _BATCH_BLOCK):
-        block = states[start : start + _BATCH_BLOCK]
-        r, s, c = (np.stack([getattr(p, k) for p in block]) for k in "rsc")
-        results += maximize_batch(
-            lambda z: _correlation_kernel(r, s, c, z),
-            len(block),
-            eff,
-            lambda z: _correlation_derivatives(r, s, c, z),
-        )
-    return results
+    Newton-polished :func:`maximize_batch` over all of them."""
+    r, s, c = (np.stack([getattr(p, k) for p in states]) for k in "rsc")
+    return maximize_batch(
+        lambda z: _correlation_kernel(r, s, c, z),
+        len(states),
+        _discord_cfg(cfg),
+        lambda z: _correlation_derivatives(r, s, c, z),
+    )
 
 
 def maximize_correlation_objective(

@@ -37,6 +37,8 @@ _NEWTON_STEPS = 4
 _GRADIENT_TOL = 1e-10
 _CURVATURE_TOL = 1e-8
 _VALUE_SLACK = 1e-15
+# Axes per objective call of a batch's Fibonacci pass (see maximize_batch).
+_AXIS_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -260,10 +262,17 @@ def maximize_batch(
     ``f`` receives an (n, m, 3) array of unit rows, row block i belonging
     to search i, and must return an (n, m) array of values.  All searches
     share the Fibonacci pass and then refine together, one objective call
-    per round, so the result for each row equals that of a search run on
-    its own.  The pass's lattice is built once per (grid_points,
-    hemisphere) and cached read-only; ``f`` gets a writable copy of it.
-    Returns one :class:`OptResult` per row, in order.
+    per refine round, so the result for each row equals that of a search
+    run on its own.  The pass's lattice is built once per (grid_points,
+    hemisphere) and cached read-only; ``f`` gets writable copies of it in
+    chunks of max(1, 8192 // n) lattice columns, one call each.  One call
+    on the whole (n, grid_points, 3) lattice made the objective's
+    temporaries too large to reuse: an 11-row pass of the correlation
+    kernel took about 740 minor page faults, a 64-row one about 2900, and
+    chunks take none.  The chunk maxima merge in lattice order, NaN
+    ranking highest as in ``argmax``, so every row still keeps its first
+    maximal lattice point.  A single row at the default 2000 points is
+    one call.  Returns one :class:`OptResult` per row, in order.
 
     Without ``derivatives`` every row runs all ``refine_rounds`` cap
     rounds.  ``derivatives`` maps (n, 3) unit rows to the Euclidean
@@ -285,8 +294,19 @@ def maximize_batch(
     if n < 1:
         return []
     grid = _lattice(cfg.grid_points, cfg.hemisphere)
-    points = np.repeat(grid[None], n, axis=0)  # a writable copy for f
-    best_value, best_axis = _row_best(points, _evaluate(f, points))
+    width = max(1, _AXIS_BUDGET // n)
+    for start in range(0, len(grid), width):
+        # a writable copy for f
+        points = np.repeat(grid[None, start : start + width], n, axis=0)
+        value, axis = _row_best(points, _evaluate(f, points))
+        if start == 0:
+            best_value, best_axis = value, axis
+            continue
+        # argmax's order across chunks: a strictly higher value, or NaN
+        # over a number, replaces the first maximal point
+        up = (value > best_value) | (np.isnan(value) & ~np.isnan(best_value))
+        best_value[up] = value[up]
+        best_axis[up] = axis[up]
     evaluations = np.full(n, len(grid))
 
     radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))

@@ -19,6 +19,7 @@ from discordkit import (
     damped_discord,
     damped_mutual_information,
     discord_numeric,
+    fibonacci_grid,
     gamma_sweep,
     kraus_pair,
     maximize_on_sphere,
@@ -281,20 +282,24 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     calls = []
     kernel = discord_module._correlation_kernel
 
-    def counting(*args):
-        calls.append(args[-1].shape)
+    def recording(*args):
+        calls.append(args[-1].copy())
         return kernel(*args)
 
-    monkeypatch.setattr(discord_module, "_correlation_kernel", counting)
+    monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
     params = draw_general_batch(np.random.default_rng(251), 1)[0]
     gamma_sweep(params, np.linspace(0.0, 1.0, 11))
-    cfg = SphereOptConfig()
     # the state and its 10 images at gamma > 0 at once (the gamma = 0 row
-    # reuses the state's report): one Fibonacci pass, then three Newton steps
-    # from the lattice incumbents whose trial axes certify every row, so no
-    # cap round runs
-    assert calls[0] == (11, cfg.grid_points, 3)
-    assert calls[1:] == [(11, 1, 3)] * 3
+    # reuses the state's report): one Fibonacci pass in chunks of
+    # 8192 // 11 = 744 lattice columns, then three Newton steps from the
+    # lattice incumbents whose trial axes certify every row, so no cap
+    # round runs
+    first_pass, polish = calls[:3], calls[3:]
+    assert [z.shape for z in first_pass] == [(11, 744, 3), (11, 744, 3), (11, 512, 3)]
+    assert all(np.array_equal(z, np.broadcast_to(z[:1], z.shape)) for z in first_pass)
+    lattice = fibonacci_grid(SphereOptConfig().grid_points)  # the hemisphere
+    assert np.array_equal(np.concatenate([z[0] for z in first_pass]), lattice)
+    assert [z.shape for z in polish] == [(11, 1, 3)] * 3
 
 
 def test_gamma_sweep_werner_monotone():

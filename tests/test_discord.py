@@ -615,7 +615,7 @@ def test_numeric_batch_equals_one_state_at_a_time():
     # the batch gamma_sweep hands discord_numeric_batch on a 0:1:0.1 grid
     swept = draw_general_batch(rng, 1)[0]
     sweep = [swept] + [damp_bloch(swept, PhaseDamping(g / 10)) for g in range(1, 11)]
-    # 47 states: two lockstep blocks
+    # 47 states in one lockstep search
     states = draw_general_batch(rng, 20) + [werner, classical_on_b, product, boundary]
     states += [r0, s0] + sweep + draw_general_batch(rng, 10)
     batch = discord_numeric_batch(iter(states))

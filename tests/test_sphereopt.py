@@ -163,11 +163,14 @@ def _row_objectives(kind: str, n: int):
     return rows, batch
 
 
+# At n = 4 the 8000 lattice axes fit one first-pass call; at n = 11 the pass
+# runs in three chunks of at most 744 columns, whose maxima merge in order.
+@pytest.mark.parametrize("n", [4, 11])
 @pytest.mark.parametrize("kind", ["linear", "quadratic", "constant"])
 @pytest.mark.parametrize("hemisphere", [False, True])
-def test_lockstep_rows_equal_single_and_serial_searches(kind, hemisphere):
+def test_lockstep_rows_equal_single_and_serial_searches(kind, hemisphere, n):
     cfg = SphereOptConfig(hemisphere=hemisphere)
-    rows, batch = _row_objectives(kind, 4)
+    rows, batch = _row_objectives(kind, n)
     results = maximize_batch(batch, len(rows), cfg)
     assert len(results) == len(rows)
     for f, res in zip(rows, results):
@@ -177,6 +180,44 @@ def test_lockstep_rows_equal_single_and_serial_searches(kind, hemisphere):
             assert res.value == other.value
             assert np.array_equal(res.axis, other.axis)
             assert res.evaluations == other.evaluations
+
+
+@pytest.mark.parametrize("n", [1, 11, 40])
+def test_lattice_pass_calls_stay_within_the_axis_budget(n):
+    cfg = SphereOptConfig()
+    shapes = []
+
+    def f(z):
+        shapes.append(z.shape)
+        return z[:, :, 2] + 0.0
+
+    maximize_batch(f, n, cfg)
+    first_pass = []
+    while sum(m for _, m, _ in first_pass) < cfg.grid_points:
+        first_pass.append(shapes[len(first_pass)])
+    assert sum(m for _, m, _ in first_pass) == cfg.grid_points
+    for rows, m, _ in first_pass:
+        assert rows == n and rows * m <= max(8192, n)
+    if n == 1:
+        assert first_pass == [(1, cfg.grid_points, 3)]
+
+
+def test_lockstep_rows_keep_a_nan_lattice_value_across_chunks():
+    # a NaN ranks above every number, as in argmax: row k is NaN at lattice
+    # point 180 k, so rows 0-4, 5-8 and 9-10 meet it in the first, second
+    # and third of the three 744-column chunks of an 11-row pass
+    cfg = SphereOptConfig(refine_rounds=2)
+    lattice = fibonacci_grid(cfg.grid_points, full_sphere=True)
+    rows = [
+        lambda z, p=lattice[180 * k]: np.where(np.all(z == p, axis=-1), np.nan, z[..., 0])
+        for k in range(11)
+    ]
+    results = maximize_batch(lambda z: np.stack([f(b) for f, b in zip(rows, z)]), 11, cfg)
+    for k, (f, res) in enumerate(zip(rows, results)):
+        single = maximize_on_sphere(f, cfg)
+        assert np.isnan(res.value) and np.isnan(single.value)
+        assert np.array_equal(res.axis, lattice[180 * k])
+        assert np.array_equal(res.axis, single.axis)
 
 
 @pytest.mark.parametrize(
