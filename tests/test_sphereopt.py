@@ -163,12 +163,7 @@ def _row_objectives(kind: str, n: int):
     return rows, batch
 
 
-# At n = 4 the 8000 lattice axes fit one first-pass call; at n = 11 the pass
-# runs in three chunks of at most 744 columns, whose maxima merge in order.
-@pytest.mark.parametrize("n", [4, 11])
-@pytest.mark.parametrize("kind", ["linear", "quadratic", "constant"])
-@pytest.mark.parametrize("hemisphere", [False, True])
-def test_lockstep_rows_equal_single_and_serial_searches(kind, hemisphere, n):
+def _check_lockstep_rows(kind, hemisphere, n):
     cfg = SphereOptConfig(hemisphere=hemisphere)
     rows, batch = _row_objectives(kind, n)
     results = maximize_batch(batch, len(rows), cfg)
@@ -180,6 +175,21 @@ def test_lockstep_rows_equal_single_and_serial_searches(kind, hemisphere, n):
             assert res.value == other.value
             assert np.array_equal(res.axis, other.axis)
             assert res.evaluations == other.evaluations
+
+
+# At n = 4 the 8000 lattice axes fit one first-pass call.
+@pytest.mark.parametrize("kind", ["linear", "quadratic", "constant"])
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_lockstep_rows_equal_single_and_serial_searches(kind, hemisphere):
+    _check_lockstep_rows(kind, hemisphere, 4)
+
+
+# At n = 11 the pass runs in three chunks of at most 744 columns, whose
+# maxima merge in order.
+@pytest.mark.parametrize("kind", ["linear", "quadratic", "constant"])
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_lockstep_rows_equal_single_and_serial_searches_across_chunks(kind, hemisphere):
+    _check_lockstep_rows(kind, hemisphere, 11)
 
 
 @pytest.mark.parametrize("n", [1, 11, 40])
