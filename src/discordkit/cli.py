@@ -108,6 +108,8 @@ def _parse_gamma_grid(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric bound in {text!r}") from None
+    if not np.isfinite([start, stop, step]).all():
+        raise RangeError(f"gamma grid bounds must be finite, got {text!r}")
     if step <= 0:
         raise RangeError(f"step must be positive, got {step!r}")
     if start > stop:

@@ -31,7 +31,7 @@ from .density import (
     _xlog2,
 )
 from .errors import DomainError, FamilyError
-from .measurement import _correlation_derivatives, _correlation_kernel
+from .measurement import _correlation_kernel, _correlation_model
 from .sphereopt import OptResult, SphereOptConfig, maximize_batch
 
 METHOD_NUMERIC = "numeric"
@@ -267,10 +267,10 @@ def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     Newton-polished :func:`maximize_batch` over all of them."""
     r, s, c = (np.stack([getattr(p, k) for p in states]) for k in "rsc")
     return maximize_batch(
-        lambda z: _correlation_kernel(r, s, c, z),
+        lambda z, rows=slice(None): _correlation_kernel(r[rows], s[rows], c[rows], z),
         len(states),
         _discord_cfg(cfg),
-        lambda z: _correlation_derivatives(r, s, c, z),
+        lambda z: _correlation_model(r, s, c, z),
     )
 
 

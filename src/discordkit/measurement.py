@@ -16,6 +16,7 @@ import numpy as np
 
 from .density import (
     _LOG_ARG_FLOOR,
+    LOG_CLAMP,
     BlochParams,
     _check_floor,
     _xlog2,
@@ -30,12 +31,12 @@ _AXIS_NORM_TOL = 1e-9
 # Derivatives are reported only where every log argument and x+- is at
 # least this, away from the domain edge and from where x+- is not
 # differentiable.  A Newton step of sphereopt (up to 0.224 rad by default)
-# can leave that region: the trial is still evaluated, since the kernel is
-# defined on every axis of a state that passed the PSD gate, and where it
-# lands the derivatives are NaN, so the row stops uncertified and falls
-# back to the plain cap rounds.
+# can leave that region: the model still gives the trial's value, defined
+# on every axis of a state that passed the PSD gate, but NaN derivatives
+# there, so the row stops uncertified and falls back to the cap rounds.
 _SMOOTH_FLOOR = 1e-3
 _LN2 = np.log(2.0)
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -153,50 +154,39 @@ def _axes_2d(axis) -> tuple[np.ndarray, bool]:
     return z, False
 
 
-def _columns(v: np.ndarray) -> list[np.ndarray]:
-    """The three components of (n, 3) rows as (n, 1) columns, which
-    broadcast against (n, m) arrays of axis components."""
-    return [v[:, k, None] for k in range(3)]
-
-
-def _norm(u: list[np.ndarray]) -> np.ndarray:
-    """Euclidean norm of a vector given as its three component arrays."""
-    return np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-
-
 def _log_arguments(r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray):
     """The six log arguments of the correlation objective of n states,
     stacked as (n, 3) rows of r, s and c, on an (n, m, 3) array of axes.
 
     Returns the (6, n, m) arguments 1 + w, 1 - w, 1 + w +- x+ and
-    1 - w +- x-, where w = s.z and x+- = |u+-| with u+- = r +- c*z, and
-    the components of u+- as two lists of three (n, m) arrays with their
-    (n, m) norms x+-.  Every dot product and norm is written out component
-    by component: each value is then a fixed sequence of elementwise
-    operations on its own axis, so its rounding does not depend on where
-    the axis sits in the batch (a BLAS product may round differently with
-    the batch's shape).  x+- is the norm of u+- and not the square root of
-    the expanded quadratic form |r|^2 +- 2 (r*c).z + (c*c).(z*z): where
-    x+- is small, that form cancels, and its error of about 1e-16 becomes
-    an error of about 1e-8 in x+-, enough to push a log argument of a
-    state near |s| = 1 below the domain floor.
+    1 - w +- x-, where w = s.z and x+- = |u+-| with u+- = r +- c*z, the
+    components of u+- as a (2, 3, n, m) array and their (2, n, m) norms
+    x+-.  The work runs on contiguous component-major (3, n, m) arrays,
+    and every dot product and norm is written out component by component:
+    each value is then a fixed sequence of elementwise operations on its
+    own axis, so its rounding does not depend on where the axis sits in the
+    batch (a BLAS product may round differently with the batch's shape).
+    x+- is the norm of u+- and not the square root of the expanded form
+    |r|^2 +- 2 (r*c).z + (c*c).(z*z): where x+- is small, that form
+    cancels, and its error of about 1e-16 becomes an error of about 1e-8
+    in x+-, enough to push a log argument of a state near |s| = 1 below
+    the domain floor.
     """
-    z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
-    s0, s1, s2 = _columns(s)
-    w = z0 * s0 + z1 * s1 + z2 * s2
-    rk = _columns(r)
-    cz = [ck * zk for ck, zk in zip(_columns(c), (z0, z1, z2))]
-    u_plus = [a + b for a, b in zip(rk, cz)]
-    u_minus = [a - b for a, b in zip(rk, cz)]
-    x_plus, x_minus = _norm(u_plus), _norm(u_minus)
+    axes = z.transpose(2, 0, 1)
+    sz = np.multiply(s.T[:, :, None], axes, order="C")
+    w = sz[0] + sz[1] + sz[2]
+    cz = np.multiply(c.T[:, :, None], axes, order="C")
+    u = np.empty((2,) + cz.shape)
+    np.add(r.T[:, :, None], cz, out=u[0])
+    np.subtract(r.T[:, :, None], cz, out=u[1])
+    sq = u * u
+    x = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
     t = np.empty((6,) + w.shape)
     np.add(1.0, w, out=t[0])
     np.subtract(1.0, w, out=t[1])
-    np.add(t[0], x_plus, out=t[2])
-    np.subtract(t[0], x_plus, out=t[3])
-    np.add(t[1], x_minus, out=t[4])
-    np.subtract(t[1], x_minus, out=t[5])
-    return t, u_plus, x_plus, u_minus, x_minus
+    np.add(t[:2], x, out=t[2::2])
+    np.subtract(t[:2], x, out=t[3::2])
+    return t, u, x
 
 
 def _correlation_kernel(
@@ -215,70 +205,67 @@ def _correlation_kernel(
     """
     t = _log_arguments(r, s, c, z)[0]
     _check_floor(t.min(initial=np.inf), _LOG_ARG_FLOOR, DomainError, "log argument")
-    xlog = _xlog2(t)
-    return (
-        -(0.5 * (xlog[0] + xlog[1]))
-        + 0.5 * (0.5 * (xlog[2] + xlog[3]))
-        + 0.5 * (0.5 * (xlog[4] + xlog[5]))
-    )
+    return _combine(_xlog2(t))
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[:, :, None] * b[:, None, :]
+def _combine(xlog: np.ndarray) -> np.ndarray:
+    """The objective from its six t log2 t terms x0..x5, in one fixed order:
+    -(x0 + x1)/2 + (x2 + x3)/4 + (x4 + x5)/4, each quarter as half a half."""
+    half = 0.5 * (xlog[0::2] + xlog[1::2])
+    quarter = 0.5 * half[1:]
+    return -half[0] + quarter[0] + quarter[1]
 
 
-def _correlation_derivatives(
+def _correlation_model(
     r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean gradient (n, 3) and Hessian (n, 3, 3) of the objective
-    of :func:`_correlation_kernel` at one axis per state, z of shape
-    (n, 3).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value (n,), Euclidean gradient (n, 3) and Hessian (n, 3, 3) of the
+    objective of :func:`_correlation_kernel` at one axis per state, z of
+    shape (n, 3), from one set of log arguments and one ``np.log2``.
 
-    With f(t) = t log2 t the objective is
+    The value is the kernel's at that axis, bit for bit (same floor check,
+    clamp, log2(t) * t and sum).  With f(t) = t log2 t the objective is
     -[f(t0) + f(t1)]/2 + [f(t2) + f(t3) + f(t4) + f(t5)]/4 over the six
     log arguments; f'(t) = log2 t + 1/ln 2 and f''(t) = 1/(t ln 2).  The
     arguments depend on z through w = s.z (gradient s) and x+- (gradient
     v+- = +-c*u+- / x+-, Hessian (diag(c^2) - v+- v+-^T) / x+-).  Rows
     where a log argument or x+- lies below 1e-3 (near the domain edge,
-    or near where x+- is not differentiable) come back as NaN.
+    or near where x+- is not differentiable) get NaN derivatives.
     """
-    t, u_plus, x_plus, u_minus, x_minus = _log_arguments(r, s, c, z[:, None, :])
-    t, x_plus, x_minus = t[..., 0], x_plus[:, 0], x_minus[:, 0]
-    u_plus, u_minus = np.concatenate(u_plus, axis=1), np.concatenate(u_minus, axis=1)
-    rough = ~((t.min(axis=0) >= _SMOOTH_FLOOR) & (np.minimum(x_plus, x_minus) >= _SMOOTH_FLOOR))
-    any_rough = rough.any()  # the masked writes cost even when empty
-    if any_rough:
-        t[:, rough] = 1.0
-        x_plus[rough] = 1.0
-        x_minus[rough] = 1.0
-    d1 = np.log2(t) + 1.0 / _LN2
+    t, u, x = _log_arguments(r, s, c, z[:, None, :])
+    t, u, x = t[..., 0], u[..., 0].transpose(0, 2, 1), x[..., 0]  # (6, n), (2, n, 3), (2, n)
+    lowest = t.min(initial=np.inf)
+    _check_floor(lowest, _LOG_ARG_FLOOR, DomainError, "log argument")
+    rough = None
+    if not min(lowest, x.min(initial=np.inf)) >= _SMOOTH_FLOOR:
+        rough = ~((t.min(axis=0) >= _SMOOTH_FLOOR) & (x.min(axis=0) >= _SMOOTH_FLOOR))
+        t[~(t >= LOG_CLAMP)] = 1.0  # _xlog2's clamp, which only a rough row needs
+        x[:, rough] = 1.0
+    log_t = np.log2(t)
+    value = _combine(log_t * t)
+    d1 = log_t + 1.0 / _LN2
     d2 = 1.0 / (_LN2 * t)
-    g_w = -0.5 * (d1[0] - d1[1]) + 0.25 * (d1[2] + d1[3]) - 0.25 * (d1[4] + d1[5])
-    g_plus = 0.25 * (d1[2] - d1[3])
-    g_minus = 0.25 * (d1[4] - d1[5])
-    v_plus = c * u_plus / x_plus[:, None]
-    v_minus = -c * u_minus / x_minus[:, None]
-    grad = g_w[:, None] * s + g_plus[:, None] * v_plus + g_minus[:, None] * v_minus
+    # pair sums and differences: entries (0, 1), (2, 3) and (4, 5)
+    d1_sum, d1_diff, d2_sum = d1[0::2] + d1[1::2], d1[0::2] - d1[1::2], d2[0::2] + d2[1::2]
+    g_w = -0.5 * d1_diff[0] + 0.25 * d1_sum[1] - 0.25 * d1_sum[2]
+    g_pm = 0.25 * d1_diff[1:]
+    v = _SIGNS[:, None, None] * c * u / x[:, :, None]  # v+- = +-c*u+- / x+-
+    gv = g_pm[:, :, None] * v
+    grad = g_w[:, None] * s + gv[0] + gv[1]
 
-    h_ww = -0.5 * (d2[0] + d2[1]) + 0.25 * (d2[2] + d2[3] + d2[4] + d2[5])
-    h_wp = 0.25 * (d2[2] - d2[3])
-    h_wm = 0.25 * (d2[5] - d2[4])
-    curv_plus = g_plus / x_plus
-    curv_minus = g_minus / x_minus
-    cross_p = _outer(s, v_plus)
-    cross_m = _outer(s, v_minus)
-    hess = (
-        h_ww[:, None, None] * _outer(s, s)
-        + h_wp[:, None, None] * (cross_p + cross_p.transpose(0, 2, 1))
-        + h_wm[:, None, None] * (cross_m + cross_m.transpose(0, 2, 1))
-        + (0.25 * (d2[2] + d2[3]) - curv_plus)[:, None, None] * _outer(v_plus, v_plus)
-        + (0.25 * (d2[4] + d2[5]) - curv_minus)[:, None, None] * _outer(v_minus, v_minus)
-    )
-    hess.reshape(-1, 9)[:, ::4] += (curv_plus + curv_minus)[:, None] * (c * c)  # diagonal
-    if any_rough:
+    h_ww = -0.5 * d2_sum[0] + 0.25 * (d2_sum[1] + d2[4] + d2[5])
+    h_wpm = 0.25 * (d2[[2, 5]] - d2[[3, 4]])
+    curv = g_pm / x
+    vecs = np.concatenate([s[None], v])
+    outer = vecs[:, None, :, :, None] * vecs[None, :, :, None, :]  # [i, j] = vecs_i vecs_j^T
+    cross = h_wpm[:, :, None, None] * (outer[0, 1:] + outer[1:, 0])
+    own = (0.25 * d2_sum[1:] - curv)[:, :, None, None] * outer[[1, 2], [1, 2]]
+    hess = h_ww[:, None, None] * outer[0, 0] + cross[0] + cross[1] + own[0] + own[1]
+    hess.reshape(-1, 9)[:, ::4] += (curv[0] + curv[1])[:, None] * (c * c)  # diagonal
+    if rough is not None:
         grad[rough] = np.nan
         hess[rough] = np.nan
-    return grad, hess
+    return value, grad, hess
 
 
 def correlation_objective(params: BlochParams, axis):

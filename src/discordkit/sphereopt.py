@@ -3,17 +3,18 @@ sphere.
 
 The strategy is a dense Fibonacci-lattice pass followed by shrinking
 spherical-cap grids around the incumbent: monotone in the incumbent value
-and bit-reproducible for a fixed configuration.  Objectives that come with
-their gradient and Hessian go from the lattice pass straight to at most
-four Riemannian Newton steps, which also certify the local maximum; rows
-they cannot certify run the plain cap rounds from the lattice incumbent.
+and bit-reproducible for a fixed configuration.  Objectives with a model
+(value, gradient and Hessian in one call) go from the lattice pass
+straight to at most four Riemannian Newton steps, which also certify the
+local maximum; rows they cannot certify run the plain cap rounds.
 
 One engine, :func:`maximize_batch`, runs n such searches in lockstep: they
-share the Fibonacci pass, and each refine round builds all n cap grids at
-once and makes one objective call on an (n, m, 3) array, so the Python
-cost per round is paid once for the whole batch.  Every row's result is
-bit-identical to that of a search run alone; :func:`maximize_on_sphere`
-is the one-row case, with an objective on (m, 3) arrays.
+share the Fibonacci pass, and each refine round builds the cap grids of
+all uncertified rows at once and makes one objective call on them, so
+the Python cost per round is paid once for the whole batch.  Every row's
+result is bit-identical to that of a search run alone;
+:func:`maximize_on_sphere` is the one-row case, with an objective on
+(m, 3) arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _NEXT = np.array([1, 2, 0])
 _AFTER = np.array([2, 0, 1])
+_EYE = np.eye(3)
 # Newton polish, straight from the lattice pass: each step is at most the
 # first cap radius long; a row is certified when its tangent gradient norm
 # is at most _GRADIENT_TOL, its tangent Hessian has every eigenvalue below
@@ -139,15 +141,13 @@ def _row_best(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (n, 3) arrays: component i is
     a[i+1] * b[i+2] - a[i+2] * b[i+1], indices mod 3."""
-    return a[:, _NEXT] * b[:, _AFTER] - a[:, _AFTER] * b[:, _NEXT]
+    a_next, a_after = a.take(_NEXT, axis=1), a.take(_AFTER, axis=1)
+    return a_next * b.take(_AFTER, axis=1) - a_after * b.take(_NEXT, axis=1)
 
 
 def _tangent_bases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent pair (e1, e2) at each unit row of ``u``."""
-    rows = np.arange(len(u))
-    helper = np.zeros_like(u)
-    helper[rows, np.argmin(np.abs(u), axis=1)] = 1.0
-    e1 = _cross(u, helper)
+    e1 = _cross(u, _EYE.take(np.argmin(np.abs(u), axis=1), axis=0))
     # (1, 3) @ (3, 1) runs the same BLAS dot as norm() of one 3-vector, so the
     # batched basis matches the single-axis one bit for bit
     e1 /= np.sqrt(np.matmul(e1[:, None, :], e1[:, :, None]))[:, 0]
@@ -177,10 +177,10 @@ def _cap_grids(
     return pts
 
 
-def _tangent_model(derivatives, z: np.ndarray):
+def _tangent_model(z: np.ndarray, grad: np.ndarray, hess: np.ndarray):
     """Tangent bases (n, 3, 2), tangent gradients B^T grad (n, 2) and
-    Riemannian Hessians B^T H B - (z . grad) I (n, 2, 2) at unit rows z."""
-    grad, hess = derivatives(z)
+    Riemannian Hessians B^T H B - (z . grad) I (n, 2, 2) at unit rows z
+    from their Euclidean gradients grad and Hessians hess."""
     basis = np.stack(_tangent_bases(z), axis=2)
     basis_t = basis.transpose(0, 2, 1)
     g = np.matmul(basis_t, grad[:, :, None])[..., 0]
@@ -190,23 +190,23 @@ def _tangent_model(derivatives, z: np.ndarray):
     return basis, g, h
 
 
-def _newton_polish(f, derivatives, value, axis, hemisphere, max_step):
-    """At most four Riemannian Newton steps from each row's lattice incumbent.
+def _newton_polish(model, value, axis, hemisphere, max_step):
+    """At most four Riemannian Newton steps from each row's lattice
+    incumbent: one ``model`` call there, and one per trial.
 
     A row is certified once its tangent gradient norm is at most 1e-10,
     the largest eigenvalue of its tangent Hessian is below -1e-8, and its
-    quadratic model rises at most 1e-15 above it.  A
-    row stops uncertified when its derivatives are undefined (NaN), its
-    tangent Hessian is not negative definite by that margin, its step is
-    longer than ``max_step`` (the first cap radius), or a step lowers the
-    running maximum by more than 1e-15.  A row's running maximum is the
-    highest value among its incumbent and its accepted iterates, kept with
-    the first axis that reached it; the last iterate, where the row is
-    certified, may sit up to 1e-15 below it.  Returns (certified, axes
-    and values of the running maxima, accepted steps, objective
-    evaluations, gradient norms, top eigenvalues), with the steps 0 and
-    the top eigenvalue NaN on uncertified rows; their evaluations still
-    count the trials.
+    quadratic model rises at most 1e-15 above it.  A row stops uncertified
+    when its derivatives are undefined (NaN), its tangent Hessian is not
+    negative definite by that margin, its step is longer than ``max_step``
+    (the first cap radius), or a step lowers the running maximum by more
+    than 1e-15.  A row's running maximum is the highest value among its
+    incumbent and its accepted iterates, kept with the first axis that
+    reached it; the last iterate, where the row is certified, may sit up
+    to 1e-15 below it.  Returns (certified, axes and values of the running
+    maxima, accepted steps, objective evaluations, gradient norms, top
+    eigenvalues), with the steps 0 and the top eigenvalue NaN on
+    uncertified rows; their evaluations still count the trials.
     """
     n = len(axis)
     z, best_z, best = axis.copy(), axis.copy(), value.copy()
@@ -216,19 +216,20 @@ def _newton_polish(f, derivatives, value, axis, hemisphere, max_step):
     evaluations = np.zeros(n, dtype=int)
     grad_norm = np.full(n, np.nan)
     top = np.full(n, np.nan)
+    grad, hess = model(z)[1:]
     for k in range(_NEWTON_STEPS + 1):
-        basis, g, h = _tangent_model(derivatives, z)
+        basis, g, h = _tangent_model(z, grad, hess)
         a, b, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
         lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
         norm = np.hypot(g[:, 0], g[:, 1])
-        grad_norm[live] = norm[live]
+        np.copyto(grad_norm, norm, where=live)
         concave = lam < -_CURVATURE_TOL
         # the quadratic model's rise above z, g.(-h)^{-1} g / 2, is at most
         # norm^2 / (2 |lam|): where the curvature is weak, a small gradient
         # alone still leaves the row well below its maximum
         done = live & concave & (norm <= _GRADIENT_TOL) & (norm * norm <= -2.0 * lam * _VALUE_SLACK)
         certified |= done
-        top[done] = lam[done]
+        np.copyto(top, lam, where=done)
         live &= concave & ~done
         if k == _NEWTON_STEPS or not live.any():
             break
@@ -238,24 +239,25 @@ def _newton_polish(f, derivatives, value, axis, hemisphere, max_step):
         step1 = (b * g[:, 0] - a * g[:, 1]) / det
         live &= np.hypot(step0, step1) <= max_step
         trial = z + step0[:, None] * basis[:, :, 0] + step1[:, None] * basis[:, :, 1]
-        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        trial /= np.sqrt(np.add.reduce(trial * trial, axis=1))[:, None]  # as linalg.norm
         if hemisphere:
             trial[trial[:, 2] < 0.0] *= -1.0
-        trial[~live] = z[~live]
-        trial_value = _evaluate(f, trial[:, None, :])[:, 0]
+        np.copyto(trial, z, where=~live[:, None])
+        # the trial's value and, where it is accepted, the next derivatives
+        trial_value, grad, hess = model(trial)
         evaluations += live
         live &= trial_value >= best - _VALUE_SLACK
         steps += live
-        z[live] = trial[live]
+        np.copyto(z, trial, where=live[:, None])
         up = live & (trial_value > best)
-        best[up] = trial_value[up]
-        best_z[up] = trial[up]
+        np.copyto(best, trial_value, where=up)
+        np.copyto(best_z, trial, where=up[:, None])
     steps[~certified] = 0
     return certified, best_z, best, steps, evaluations, grad_norm, top
 
 
 def maximize_batch(
-    f, n: int, cfg: SphereOptConfig | None = None, derivatives=None
+    f, n: int, cfg: SphereOptConfig | None = None, model=None
 ) -> list[OptResult]:
     """Maximize ``n`` batch objectives on the unit sphere in lockstep.
 
@@ -265,24 +267,25 @@ def maximize_batch(
     per refine round, so the result for each row equals that of a search
     run on its own.  The pass's lattice is built once per (grid_points,
     hemisphere) and cached read-only; ``f`` gets writable copies of it in
-    chunks of max(1, 8192 // n) lattice columns, one call each.  One call
-    on the whole (n, grid_points, 3) lattice made the objective's
-    temporaries too large to reuse: an 11-row pass of the correlation
-    kernel took about 740 minor page faults, a 64-row one about 2900, and
-    chunks take none.  The chunk maxima merge in lattice order, NaN
-    ranking highest as in ``argmax``, so every row still keeps its first
-    maximal lattice point.  A single row at the default 2000 points is
-    one call.  Returns one :class:`OptResult` per row, in order.
+    chunks of max(1, 8192 // n) lattice columns, one call each, small
+    enough for the objective's temporaries to be reused (one call on the
+    whole lattice took about 740 minor page faults at 11 rows).  The chunk
+    maxima merge in lattice order, NaN ranking highest as in ``argmax``,
+    so every row keeps its first maximal lattice point.  Returns one
+    :class:`OptResult` per row, in order.
 
-    Without ``derivatives`` every row runs all ``refine_rounds`` cap
-    rounds.  ``derivatives`` maps (n, 3) unit rows to the Euclidean
-    gradients (n, 3) and Hessians (n, 3, 3) of the objectives, NaN where
-    undefined.  With it, at most four Riemannian Newton steps polish each
-    row's lattice incumbent, each no longer than the first cap radius
-    min(pi/2, 10/sqrt(grid_points)).  A row whose local maximum they
-    certify stops there; every other row runs the plain rounds up to
-    ``refine_rounds`` from its lattice incumbent, and so ends exactly where
-    a search without derivatives ends.
+    Without ``model`` every row runs all ``refine_rounds`` cap rounds.
+    ``model`` maps (n, 3) unit rows to the objectives' values (n,), bit
+    for bit those of ``f``, and their Euclidean gradients (n, 3) and
+    Hessians (n, 3, 3), NaN where undefined.  With it, at most four
+    Riemannian Newton steps polish each row's lattice incumbent, one model
+    call per step and none of ``f``, each step no longer than the first
+    cap radius min(pi/2, 10/sqrt(grid_points)).  A row whose local maximum
+    they certify stops there; every other row runs the plain rounds from
+    its lattice incumbent, and so ends exactly where a search without a
+    model ends.  The rounds evaluate those rows only: while some row is
+    certified, ``f`` is called as ``f(points, rows)``, points of shape
+    (len(rows), m, 3) for the ascending search indices ``rows``.
 
     A row keeps the first point that reaches its highest value: the first
     maximal lattice point, then a cap round's or Newton iterate's point
@@ -314,32 +317,31 @@ def maximize_batch(
     steps = np.zeros(n, dtype=int)
     grad_norm = np.full(n, np.nan)
     top = np.full(n, np.nan)
-    if derivatives is not None:
+    if model is not None:
         certified, axis, value, steps, newton_evals, grad_norm, top = _newton_polish(
-            f, derivatives, best_value, best_axis, cfg.hemisphere, radius
+            model, best_value, best_axis, cfg.hemisphere, radius
         )
-        best_axis[certified] = axis[certified]
-        best_value[certified] = value[certified]
+        np.copyto(best_axis, axis, where=certified[:, None])
+        np.copyto(best_value, value, where=certified)
         evaluations += newton_evals
 
     m = cfg.local_points
-    j = (np.arange(m) + 0.5)[:, None]
-    ang = j * _GOLDEN_ANGLE
-    spiral = (np.sqrt(j / m), np.cos(ang), np.sin(ang))
-    rounds = np.zeros(n, dtype=int)
-    for _ in range(cfg.refine_rounds):
-        if certified.all():
-            break
-        local = _cap_grids(best_axis, radius, spiral, cfg.hemisphere)
-        # certified rows are finished: their grids collapse onto their axes
-        local[certified] = best_axis[certified, None, :]
-        cand_value, cand_axis = _row_best(local, _evaluate(f, local))
-        up = ~certified & (cand_value > best_value)
-        best_value[up] = cand_value[up]
-        best_axis[up] = cand_axis[up]
-        evaluations += m * ~certified
-        rounds += ~certified
-        radius *= cfg.shrink_factor
+    rounds = cfg.refine_rounds * ~certified
+    evaluations += m * rounds
+    rows = np.flatnonzero(~certified)  # the searches the cap rounds refine
+    if len(rows):
+        objective = f if len(rows) == n else lambda z: f(z, rows)
+        axis, value = best_axis[rows], best_value[rows]
+        j = (np.arange(m) + 0.5)[:, None]
+        spiral = (np.sqrt(j / m), np.cos(j * _GOLDEN_ANGLE), np.sin(j * _GOLDEN_ANGLE))
+        for _ in range(cfg.refine_rounds):
+            local = _cap_grids(axis, radius, spiral, cfg.hemisphere)
+            cand_value, cand_axis = _row_best(local, _evaluate(objective, local))
+            up = cand_value > value
+            value[up] = cand_value[up]
+            axis[up] = cand_axis[up]
+            radius *= cfg.shrink_factor
+        best_axis[rows], best_value[rows] = axis, value
 
     return [
         OptResult(

@@ -191,6 +191,20 @@ def _entropic_h(eps, x):
     return float(out) if out.ndim == 0 else out
 
 
+def bell_diagonal_discord(c) -> float:
+    """Luo's discord of the Bell-diagonal state (1/4)(I + sum_i c_i s_i (x) s_i),
+    PRA 77, 042303 (2008): I = 2 + sum_k lam_k log2 lam_k over the
+    eigenvalues (1 - c1 - c2 - c3)/4, (1 - c1 + c2 + c3)/4,
+    (1 + c1 - c2 + c3)/4 and (1 + c1 + c2 - c3)/4,
+    C = [(1 - m) log2(1 - m) + (1 + m) log2(1 + m)]/2 with m = max |c_i|,
+    and Q = I - C."""
+    c1, c2, c3 = c
+    lam = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4
+    m = max(abs(c1), abs(c2), abs(c3))
+    mutual = 2.0 + float(np.sum(_xlog2(lam)))
+    return mutual - 0.5 * float(np.sum(_xlog2(np.array([1.0 - m, 1.0 + m]))))
+
+
 def mutual_information_reference(params: BlochParams) -> float:
     """S(rho_a) + S(rho_b) - S(rho) from numpy spectra of the three states."""
     rho = build_state(params)

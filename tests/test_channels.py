@@ -31,6 +31,7 @@ from discordkit import discord as discord_module
 from discordkit.sampling import draw_axial_zero, draw_general_batch, draw_s0_planar
 
 from _oracles import (
+    bell_diagonal_discord,
     damped_discord_reference,
     damped_mutual_information_reference,
     eigh_spectrum,
@@ -279,27 +280,61 @@ def test_gamma_sweep_rows_equal_damped_discord(ref_state_b):
 
 
 def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
-    calls = []
-    kernel = discord_module._correlation_kernel
+    calls, model_calls = [], []
+    kernel, model = discord_module._correlation_kernel, discord_module._correlation_model
 
     def recording(*args):
         calls.append(args[-1].copy())
         return kernel(*args)
 
+    def recording_model(*args):
+        model_calls.append(args[-1].shape)
+        return model(*args)
+
     monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
+    monkeypatch.setattr(discord_module, "_correlation_model", recording_model)
     params = draw_general_batch(np.random.default_rng(251), 1)[0]
     gamma_sweep(params, np.linspace(0.0, 1.0, 11))
     # the state and its 10 images at gamma > 0 at once (the gamma = 0 row
     # reuses the state's report): one Fibonacci pass in chunks of
-    # 8192 // 11 = 744 lattice columns, then three Newton steps from the
-    # lattice incumbents whose trial axes certify every row, so no cap
-    # round runs
-    first_pass, polish = calls[:3], calls[3:]
-    assert [z.shape for z in first_pass] == [(11, 744, 3), (11, 744, 3), (11, 512, 3)]
-    assert all(np.array_equal(z, np.broadcast_to(z[:1], z.shape)) for z in first_pass)
+    # 8192 // 11 = 744 lattice columns, then one model call at the lattice
+    # incumbents and three Newton trials, which certify every row, so no
+    # cap round runs
+    assert [z.shape for z in calls] == [(11, 744, 3), (11, 744, 3), (11, 512, 3)]
+    assert all(np.array_equal(z, np.broadcast_to(z[:1], z.shape)) for z in calls)
     lattice = fibonacci_grid(SphereOptConfig().grid_points)  # the hemisphere
-    assert np.array_equal(np.concatenate([z[0] for z in first_pass]), lattice)
-    assert [z.shape for z in polish] == [(11, 1, 3)] * 3
+    assert np.array_equal(np.concatenate([z[0] for z in calls]), lattice)
+    assert model_calls == [(11, 3)] * 4
+
+
+@pytest.mark.parametrize("c3", [0.3, 0.5, 0.8])
+def test_frozen_discord_under_phase_damping(c3):
+    """Mazzola, Piilo & Maniscalco, PRL 104, 200401 (2010): damping scales
+    c1 and c2 of the Bell-diagonal state c = (1, -c3, c3) by 1 - gamma, so
+    its discord stays frozen up to gamma* = 1 - c3 and its classical
+    correlation after, where the measurement axis jumps from e1 to e3."""
+    params = BlochParams([0, 0, 0], [0, 0, 0], [1.0, -c3, c3])
+    grid = np.linspace(0.0, 1.0, 11)  # gamma* on the grid: a tie of e1 and e3
+    critical = 1.0 - c3
+    rows = gamma_sweep(params, grid)
+    reports = [damped_discord(params, PhaseDamping(g)) for g in grid]
+    frozen_q, frozen_c = rows[0][1], reports[-1].classical_corr
+    for (gamma, q, _), report in zip(rows, reports):
+        assert q == report.discord
+        # measured within 4.5e-16; at gamma = 1, Q reads -1.9e-16 for c3 = 0.3
+        damped = damp_bloch(params, PhaseDamping(gamma)).c
+        assert abs(q - bell_diagonal_discord(damped)) <= 1e-15
+        axis = np.abs(report.argmax_axis)
+        if gamma <= critical + 1e-12:
+            assert abs(q - frozen_q) <= 1e-15
+        if gamma >= critical - 1e-12:
+            assert abs(report.classical_corr - frozen_c) <= 1e-15
+        # off the tie the axis is e1 (the gamma = 0 row, with |c1| = 1, lies
+        # 1.9e-8 off it) and then e3
+        if gamma < critical - 1e-12:
+            assert np.abs(axis - [1.0, 0.0, 0.0]).max() <= 1e-6
+        elif gamma > critical + 1e-12:
+            assert np.abs(axis - [0.0, 0.0, 1.0]).max() <= 1e-6
 
 
 def test_gamma_sweep_werner_monotone():

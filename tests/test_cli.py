@@ -356,6 +356,15 @@ def test_damp_bad_grid_exits_2(capsys):
     assert "start" in err
 
 
+@pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:0.1", "0:nan:0.1", "0:1:nan"])
+def test_damp_non_finite_grid_bound_exits_2(capsys, grid):
+    # an infinite step would make the grid's first gamma inf * 0 = nan, and
+    # a nan bound must not reach argparse's generic "invalid value" message
+    code, out, err = run_cli(capsys, "damp", *REF_B_FLAGS, "--gamma-grid", grid)
+    assert code == 2 and out == ""
+    assert err == f"error: gamma grid bounds must be finite, got {grid!r}\n"
+
+
 def test_damp_output_uses_17_digit_floats(capsys):
     _, out, _ = run_cli(
         capsys, "damp", "--r", "0,0,0", "--s", "0,0,0", "--c", "0.2,0.2,0.2",

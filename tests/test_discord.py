@@ -52,6 +52,7 @@ from discordkit import (
 )
 from discordkit import density
 from discordkit import discord as discord_module
+from discordkit import measurement as measurement_module
 from discordkit.discord import C_EQ_R_MAX
 from discordkit.measurement import _correlation_kernel, conditional_entropy
 from discordkit.sampling import (
@@ -724,22 +725,39 @@ def test_newton_polish_matches_forty_round_search():
 
 
 def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
-    calls = []
-    kernel = discord_module._correlation_kernel
+    calls, model_calls, log_arguments = [], [], []
+    kernel, model = discord_module._correlation_kernel, discord_module._correlation_model
+    arguments = measurement_module._log_arguments
 
     def counting(*args):
         calls.append(args[-1].shape)
         return kernel(*args)
 
+    def counting_model(*args):
+        model_calls.append(args[-1].shape)
+        return model(*args)
+
+    def counting_arguments(*args):
+        log_arguments.append(args[-1].shape)
+        return arguments(*args)
+
     monkeypatch.setattr(discord_module, "_correlation_kernel", counting)
+    monkeypatch.setattr(discord_module, "_correlation_model", counting_model)
+    monkeypatch.setattr(measurement_module, "_log_arguments", counting_arguments)
     # the pool of the oracle-scan benchmark at seed 1
     for params in draw_general_batch(np.random.default_rng(1), 48):
-        calls.clear()
-        discord_numeric(params)
-        # no 64-point cap round runs: the polish certifies every general draw
-        assert calls[0] == (1, 2000, 3)
-        assert 1 <= len(calls) - 1 <= 4
-        assert set(calls[1:]) == {(1, 1, 3)}
+        for log in (calls, model_calls, log_arguments):
+            log.clear()
+        res = discord_module._correlation_search([params], None)[0]
+        # no 64-point cap round runs: the polish certifies every general
+        # draw.  The lattice pass is one kernel call; the polish is one model
+        # call at the incumbent and one per Newton trial, and each model call
+        # makes the log arguments once for the value and the derivatives
+        trials = res.evaluations - 2000
+        assert res.refine_rounds == 0 and 1 <= trials <= 4
+        assert calls == [(1, 2000, 3)]
+        assert model_calls == [(1, 3)] * (1 + trials)
+        assert len(log_arguments) == 2 + trials
 
 
 def test_polish_from_a_coarse_lattice_keeps_global_reach():
@@ -785,15 +803,25 @@ def test_flat_and_boundary_states_take_the_fallback():
 
 
 def test_reported_value_covers_every_evaluated_axis(monkeypatch):
-    seen = []
-    kernel = discord_module._correlation_kernel
+    seen = []  # (a Newton iterate?, each row's best value in the call)
+    search = discord_module.maximize_batch
 
-    def recording(*args):
-        values = kernel(*args)
-        seen.append((values.shape[1] == 1, values.max(axis=1)))
-        return values
+    def recording_search(f, n, cfg, model):
+        def kernel(z, rows=slice(None)):  # the cap rounds pass a row subset
+            values = f(z, rows)
+            best = np.full(n, -np.inf)
+            best[rows] = values.max(axis=1)
+            seen.append((False, best))
+            return values
 
-    monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
+        def recording_model(z):
+            out = model(z)
+            seen.append((True, out[0]))
+            return out
+
+        return search(kernel, n, cfg, recording_model)
+
+    monkeypatch.setattr(discord_module, "maximize_batch", recording_search)
     states = draw_general_batch(np.random.default_rng(271), 12)
     states += list(_fallback_states().values())
     results = discord_module._correlation_search(states, None)

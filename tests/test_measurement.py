@@ -7,6 +7,7 @@ import pytest
 from discordkit import (
     BlochParams,
     DegenerateBranchError,
+    DomainError,
     NormError,
     UnitQuaternion,
     axis_from_su2,
@@ -21,7 +22,7 @@ from discordkit import (
     post_measurement_ensemble,
 )
 from discordkit import discord as discord_module
-from discordkit.measurement import _correlation_derivatives, _correlation_kernel
+from discordkit.measurement import _correlation_kernel, _correlation_model
 from discordkit.sampling import draw_general_batch
 
 from _oracles import conditional_entropy_reference, damped_objective_reference
@@ -291,7 +292,7 @@ def test_correlation_derivatives_match_central_differences():
     r, s, c = _stacked(draw_general_batch(rng, 40))
     z = rng.normal(size=(40, 3))
     z /= np.linalg.norm(z, axis=1)[:, None]
-    grad, hess = _correlation_derivatives(r, s, c, z)
+    _, grad, hess = _correlation_model(r, s, c, z)
 
     def g(shift):  # the kernel at z + shift, one axis per state
         return _correlation_kernel(r, s, c, (z + shift)[:, None, :])[:, 0]
@@ -321,9 +322,56 @@ def test_correlation_derivatives_are_nan_where_undefined():
         SINGLET,
         BlochParams([0.1, 0, 0.2], [0, 0.1, 0], [0.3, 0.2, 0.1]),
     ]
-    grad, hess = _correlation_derivatives(*_stacked(states), np.tile([0.0, 0.0, 1.0], (3, 1)))
+    value, grad, hess = _correlation_model(*_stacked(states), np.tile([0.0, 0.0, 1.0], (3, 1)))
     assert np.isnan(grad[:2]).all() and np.isnan(hess[:2]).all()
     assert np.isfinite(grad[2]).all() and np.isfinite(hess[2]).all()
+    # the value is defined on every row, rough or not
+    assert np.isfinite(value).all()
+
+
+def _near_floor_states():
+    """States with log arguments at and near the domain edge on some axes:
+    x+ = 0 at e3, and 1 - x = eps on every axis for the singlet scaled to
+    c = -(1 - eps): clamped to zero (eps = 0, 1e-13), rough (1e-6) and
+    smooth (1e-2)."""
+    scaled = [BlochParams([0, 0, 0], [0, 0, 0], [eps - 1.0] * 3) for eps in (1e-13, 1e-6, 1e-2)]
+    boundary = BlochParams([0, 0, 0.3], [0, 0, 0], [0, 0, -0.3])
+    return [boundary, SINGLET] + scaled
+
+
+def test_correlation_model_value_is_the_kernels_bit_for_bit():
+    rng = np.random.default_rng(31)
+    states = draw_general_batch(rng, 12) + _near_floor_states()
+    n = len(states)
+    r, s, c = _stacked(states)
+
+    def check(axes):  # (n, m, 3): the model column by column against the kernel
+        values = _correlation_kernel(r, s, c, axes)
+        for j in range(axes.shape[1]):
+            np.testing.assert_array_equal(_correlation_model(r, s, c, axes[:, j])[0], values[:, j])
+
+    check(np.repeat(fibonacci_grid(2000)[None, ::9], n, axis=0))  # the lattice pass
+    centers = np.stack([_random_axis(rng) for _ in range(n)])
+    cap = centers[:, None, :] + 0.05 * rng.normal(size=(n, 64, 3))
+    check(cap / np.linalg.norm(cap, axis=2)[:, :, None])
+    # axes up to 1e-3 off e3, where x+ of the boundary state is that small
+    near = np.array([[0.0, 0.0, 1.0]] * 8) + np.logspace(-12, -3, 8)[:, None] * [1.0, 0.5, 0.0]
+    check(np.repeat((near / np.linalg.norm(near, axis=1)[:, None])[None], n, axis=0))
+
+
+@pytest.mark.parametrize("eps, raises", [(5e-9, True), (3e-9, False)])
+def test_correlation_model_keeps_the_kernels_floor(eps, raises):
+    # 1 - x = -eps on every axis for the singlet scaled to c = -(1 + eps);
+    # the floor is -4e-9
+    r, s, c = _stacked([BlochParams([0, 0, 0], [0, 0, 0], [-1.0 - eps] * 3)])
+    z = np.array([[0.6, 0.0, 0.8]])
+    if raises:
+        for call in (lambda: _correlation_kernel(r, s, c, z[:, None]),
+                     lambda: _correlation_model(r, s, c, z)):
+            with pytest.raises(DomainError, match="log argument"):
+                call()
+    else:
+        assert _correlation_model(r, s, c, z)[0] == _correlation_kernel(r, s, c, z[:, None])[:, 0]
 
 
 def test_kernel_value_depends_on_its_axis_only(monkeypatch):
@@ -355,7 +403,13 @@ def test_kernel_value_depends_on_its_axis_only(monkeypatch):
         seen.append((args[3], _correlation_kernel(*args)))
         return seen[-1][1]
 
+    def recording_model(*args):  # the Newton iterates: one axis per state
+        out = _correlation_model(*args)
+        seen.append((args[3][:, None].copy(), out[0][:, None]))
+        return out
+
     monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
+    monkeypatch.setattr(discord_module, "_correlation_model", recording_model)
     for i, (params, res) in enumerate(zip(states, discord_module._correlation_search(states, None))):
         at_axis = np.concatenate([v[i][(z[i] == res.axis).all(axis=1)] for z, v in seen])
         assert at_axis.size and (at_axis == correlation_objective(params, res.axis)).all()

@@ -250,17 +250,18 @@ def test_batch_of_zero_searches_calls_nothing():
 
 
 def _quadratic_batch(n: int, seed: int):
-    """n quadratic forms z.A z with their gradients 2Az and Hessians 2A."""
+    """n quadratic forms z.A z, as a batch objective that also takes a row
+    subset, and their model: the values, gradients 2Az and Hessians 2A."""
     mats = np.random.default_rng(seed).normal(size=(n, 3, 3))
     mats = 0.5 * (mats + mats.transpose(0, 2, 1))
 
-    def f(z):
-        return np.einsum("nmi,nij,nmj->nm", z, mats, z)
+    def f(z, rows=slice(None)):
+        return np.einsum("nmi,nij,nmj->nm", z, mats[rows], z)
 
-    def derivatives(z):
-        return 2.0 * np.einsum("nij,nj->ni", mats, z), 2.0 * mats
+    def model(z):
+        return f(z[:, None, :])[:, 0], 2.0 * np.einsum("nij,nj->ni", mats, z), 2.0 * mats
 
-    return mats, f, derivatives
+    return mats, f, model
 
 
 def test_result_diagnostics_default_and_plain_rounds():
@@ -275,9 +276,9 @@ def test_result_diagnostics_default_and_plain_rounds():
 
 @pytest.mark.parametrize("hemisphere", [False, True])
 def test_newton_polish_certifies_quadratic_maxima(hemisphere):
-    mats, f, derivatives = _quadratic_batch(6, 127)
+    mats, f, model = _quadratic_batch(6, 127)
     cfg = SphereOptConfig(hemisphere=hemisphere)
-    for m, res in zip(mats, maximize_batch(f, 6, cfg, derivatives)):
+    for m, res in zip(mats, maximize_batch(f, 6, cfg, model)):
         lam, vec = np.linalg.eigh(m)
         # Newton starts from the lattice incumbent and finishes: no cap rounds
         assert res.refine_rounds == 0 and res.newton_steps >= 1
@@ -301,13 +302,30 @@ def test_newton_polish_certifies_quadratic_maxima(hemisphere):
 def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
     # whatever the lattice and the shrink factor, the polish runs before any
     # cap round, with steps up to the first cap radius min(pi/2, 10/sqrt(grid_points))
-    mats, f, derivatives = _quadratic_batch(6, 127)
+    mats, f, model = _quadratic_batch(6, 127)
     cfg = SphereOptConfig(grid_points=grid_points, shrink_factor=shrink_factor)
-    for m, res in zip(mats, maximize_batch(f, 6, cfg, derivatives)):
+    objective_calls, model_calls = [], []
+
+    def recording(z):
+        objective_calls.append(z.shape)
+        return f(z)
+
+    def recording_model(z):
+        model_calls.append(z.shape)
+        return model(z)
+
+    results = maximize_batch(recording, 6, cfg, recording_model)
+    for m, res in zip(mats, results):
         assert res.refine_rounds == 0 and res.newton_steps >= 1
         assert res.evaluations == grid_points + res.newton_steps
         assert res.gradient_norm <= 1e-10
         assert abs(res.value - np.linalg.eigvalsh(m)[-1]) <= 4e-15
+    # f serves the lattice pass alone (in chunks of 8192 // 6 = 1365
+    # columns); the polish makes one model call at the incumbents and one
+    # per trial, the last row to finish setting the count
+    chunks = [200] if grid_points == 200 else [1365, 635]
+    assert objective_calls == [(6, k, 3) for k in chunks]
+    assert model_calls == [(6, 3)] * (1 + max(res.newton_steps for res in results))
 
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
@@ -320,25 +338,26 @@ def test_reported_value_is_the_objective_at_the_axis(kind, hemisphere):
         assert maximize_on_sphere(f, cfg).value == f(res.axis[None])[0]
     if kind == "quadratic":
         # the Newton route: the axis of the running maximum, not the last iterate
-        _, f, derivatives = _quadratic_batch(6, 127)
-        for i, res in enumerate(maximize_batch(f, 6, cfg, derivatives)):
+        _, f, model = _quadratic_batch(6, 127)
+        for i, res in enumerate(maximize_batch(f, 6, cfg, model)):
             assert res.value == f(np.repeat(res.axis[None, None], 6, axis=0))[i, 0]
 
 
-def _tangent_scaled(derivatives, factor):
-    """Derivatives whose tangent gradient is scaled by ``factor``."""
+def _tangent_scaled(model, factor):
+    """The model with its tangent gradient scaled by ``factor``."""
 
     def scaled(z):
-        grad, hess = derivatives(z)
+        value, grad, hess = model(z)
         radial = np.einsum("ni,ni->n", grad, z)[:, None] * z
-        return radial + factor * (grad - radial), hess
+        return value, radial + factor * (grad - radial), hess
 
     return scaled
 
 
-def _rotated(mats, angle):
-    """Derivatives of the quadratic forms turned by ``angle`` in the plane of
-    their top two eigenvectors, so that their maxima lie ``angle`` away."""
+def _rotated(f, mats, angle):
+    """The values of ``f`` with the derivatives of the quadratic forms turned
+    by ``angle`` in the plane of their top two eigenvectors, so that their
+    maxima lie ``angle`` away."""
     turned = []
     for m in mats:
         v, u = np.linalg.eigh(m)[1][:, [2, 1]].T
@@ -349,7 +368,7 @@ def _rotated(mats, angle):
         )
         turned.append(rot @ m @ rot.T)
     turned = np.array(turned)
-    return lambda z: (2.0 * np.einsum("nij,nj->ni", turned, z), 2.0 * turned)
+    return lambda z: (f(z[:, None])[:, 0], 2.0 * np.einsum("nij,nj->ni", turned, z), 2.0 * turned)
 
 
 @pytest.mark.parametrize(
@@ -363,17 +382,17 @@ def _rotated(mats, angle):
     ],
 )
 def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
-    mats, f, derivatives = _quadratic_batch(3, 131)
+    mats, f, model = _quadratic_batch(3, 131)
     cfg = SphereOptConfig(hemisphere=True)
 
     def undefined(z):
-        return np.full(z.shape, np.nan), np.full(z.shape + (3,), np.nan)
+        return f(z[:, None])[:, 0], np.full(z.shape, np.nan), np.full(z.shape + (3,), np.nan)
 
     bad = {
         "undefined": undefined,
-        "downhill": _tangent_scaled(derivatives, -1.0),
-        "overshooting": _tangent_scaled(derivatives, 1e3),
-        "misdirected": _rotated(mats, 0.3),
+        "downhill": _tangent_scaled(model, -1.0),
+        "overshooting": _tangent_scaled(model, 1e3),
+        "misdirected": _rotated(f, mats, 0.3),
     }[kind]
     for polished, plain in zip(maximize_batch(f, 3, cfg, bad), maximize_batch(f, 3, cfg)):
         assert polished.value == plain.value
@@ -381,3 +400,33 @@ def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
         assert polished.evaluations == plain.evaluations + trials
         assert (polished.refine_rounds, polished.newton_steps) == (40, 0)
         assert np.isnan(polished.hessian_max_eig)
+
+
+def test_cap_rounds_evaluate_the_uncertified_rows_only():
+    mats, f, model = _quadratic_batch(6, 127)
+    open_rows = [1, 4]
+
+    def partly_undefined(z):  # rows 1 and 4 cannot be certified
+        value, grad, hess = model(z)
+        grad[open_rows] = np.nan
+        hess[open_rows] = np.nan
+        return value, grad, hess
+
+    calls = []
+
+    def recording(z, rows=None):
+        calls.append((z.shape, None if rows is None else rows.tolist()))
+        return f(z) if rows is None else f(z, rows)
+
+    cfg = SphereOptConfig()
+    results = maximize_batch(recording, 6, cfg, partly_undefined)
+    # the lattice pass takes every row (in chunks of 8192 // 6 = 1365
+    # columns), each cap round the open rows alone
+    assert calls == [((6, 1365, 3), None), ((6, 635, 3), None)] + [((2, 64, 3), open_rows)] * 40
+    polished, plain = maximize_batch(f, 6, cfg, model), maximize_batch(f, 6, cfg)
+    for i, res in enumerate(results):
+        expected = plain[i] if i in open_rows else polished[i]
+        assert res.value == expected.value and np.array_equal(res.axis, expected.axis)
+        assert res.evaluations == expected.evaluations
+        assert res.refine_rounds == expected.refine_rounds
+        assert res.newton_steps == expected.newton_steps
