@@ -117,7 +117,7 @@ def _parse_gamma_grid(text: str) -> np.ndarray:
     if start < 0.0 or stop > 1.0:
         raise RangeError("gamma grid must lie inside [0, 1]")
     n = int(np.floor((stop - start) / step + 1e-12)) + 1
-    return start + step * np.arange(n)
+    return np.minimum(start + step * np.arange(n), stop)  # 0.09 + 13 * 0.07 > 1
 
 
 def _state_from_args(args) -> tuple[BlochParams, str]:

@@ -270,7 +270,7 @@ def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
         lambda z, rows=slice(None): _correlation_kernel(r[rows], s[rows], c[rows], z),
         len(states),
         _discord_cfg(cfg),
-        lambda z: _correlation_model(r, s, c, z),
+        lambda z, basis: _correlation_model(r, s, c, z, basis),
     )
 
 

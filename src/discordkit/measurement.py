@@ -37,6 +37,9 @@ _AXIS_NORM_TOL = 1e-9
 _SMOOTH_FLOOR = 1e-3
 _LN2 = np.log(2.0)
 _SIGNS = np.array([1.0, -1.0])
+# The objective is sum_j _WEIGHTS[j] t_j log2 t_j, t_j = 1 + _JACOBIAN[j] . (w, x+, x-).
+_WEIGHTS = np.array([-0.5, -0.5, 0.25, 0.25, 0.25, 0.25])
+_JACOBIAN = np.array([[1, 0, 0], [-1, 0, 0], [1, 1, 0], [1, -1, 0], [-1, 0, 1], [-1, 0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,11 @@ def _correlation_kernel(
     shape of the batch (see :func:`_log_arguments`).
     """
     t = _log_arguments(r, s, c, z)[0]
-    _check_floor(t.min(initial=np.inf), _LOG_ARG_FLOOR, DomainError, "log argument")
+    lowest = t.min(initial=np.inf)
+    _check_floor(lowest, _LOG_ARG_FLOOR, DomainError, "log argument")
+    if lowest >= LOG_CLAMP:  # nothing to clamp: _xlog2 without its clamp pass
+        xlog = np.log2(t)
+        return _combine(np.multiply(xlog, t, out=xlog))
     return _combine(_xlog2(t))
 
 
@@ -217,55 +224,59 @@ def _combine(xlog: np.ndarray) -> np.ndarray:
 
 
 def _correlation_model(
-    r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray
+    r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value (n,), Euclidean gradient (n, 3) and Hessian (n, 3, 3) of the
-    objective of :func:`_correlation_kernel` at one axis per state, z of
-    shape (n, 3), from one set of log arguments and one ``np.log2``.
+    """Value (n,), tangent gradient (n, 2) and Riemannian Hessian (n, 2, 2)
+    of the objective of :func:`_correlation_kernel` at one axis per state,
+    z of shape (n, 3), in orthonormal tangent bases B (``basis``, (n, 3, 2))
+    at z, from one set of log arguments and one ``np.log2``.
 
     The value is the kernel's at that axis, bit for bit (same floor check,
-    clamp, log2(t) * t and sum).  With f(t) = t log2 t the objective is
-    -[f(t0) + f(t1)]/2 + [f(t2) + f(t3) + f(t4) + f(t5)]/4 over the six
-    log arguments; f'(t) = log2 t + 1/ln 2 and f''(t) = 1/(t ln 2).  The
-    arguments depend on z through w = s.z (gradient s) and x+- (gradient
-    v+- = +-c*u+- / x+-, Hessian (diag(c^2) - v+- v+-^T) / x+-).  Rows
-    where a log argument or x+- lies below 1e-3 (near the domain edge,
-    or near where x+- is not differentiable) get NaN derivatives.
+    clamp, log2(t) * t and sum).  The objective is sum_j a_j f(t_j), with
+    f(t) = t log2 t, a = ``_WEIGHTS`` and t_j = 1 + J_j . (w, x+, x-), J =
+    ``_JACOBIAN``; w = s.z has gradient s, x+- = |u+-| = |r +- c*z| has
+    gradient v+- = +-c*u+- / x+- and Hessian (diag(c^2) - v+- v+-^T) / x+-.
+    With V = [s; v+; v-], g = J^T a log2(t) (f' is log2 t + 1/ln 2, and
+    J^T a = 0), k+- = g+- / x+- and K = J^T diag(a / (t ln 2)) J -
+    diag(0, k+, k-), the gradient is V^T g and the Hessian V^T K V +
+    (k+ + k-) diag(c^2).  On W = V B the tangent gradient is W^T g and the
+    Riemannian Hessian W^T K W + (k+ + k-) B^T diag(c^2) B - (z . grad) I.
+    Every product is elementwise or a matmul stacked over rows, on operands
+    laid out alike whatever n, so a row's output does not depend on the
+    batch.  Rows with a log argument or x+- below 1e-3 get NaN derivatives.
     """
     t, u, x = _log_arguments(r, s, c, z[:, None, :])
-    t, u, x = t[..., 0], u[..., 0].transpose(0, 2, 1), x[..., 0]  # (6, n), (2, n, 3), (2, n)
+    t, u, x = t[..., 0], u[..., 0].transpose(2, 0, 1), x[..., 0].T  # (6, n), (n, 2, 3), (n, 2)
     lowest = t.min(initial=np.inf)
     _check_floor(lowest, _LOG_ARG_FLOOR, DomainError, "log argument")
     rough = None
     if not min(lowest, x.min(initial=np.inf)) >= _SMOOTH_FLOOR:
-        rough = ~((t.min(axis=0) >= _SMOOTH_FLOOR) & (x.min(axis=0) >= _SMOOTH_FLOOR))
+        rough = ~((t.min(axis=0) >= _SMOOTH_FLOOR) & (x.min(axis=1) >= _SMOOTH_FLOOR))
         t[~(t >= LOG_CLAMP)] = 1.0  # _xlog2's clamp, which only a rough row needs
-        x[:, rough] = 1.0
+        x[rough] = 1.0
     log_t = np.log2(t)
     value = _combine(log_t * t)
-    d1 = log_t + 1.0 / _LN2
-    d2 = 1.0 / (_LN2 * t)
-    # pair sums and differences: entries (0, 1), (2, 3) and (4, 5)
-    d1_sum, d1_diff, d2_sum = d1[0::2] + d1[1::2], d1[0::2] - d1[1::2], d2[0::2] + d2[1::2]
-    g_w = -0.5 * d1_diff[0] + 0.25 * d1_sum[1] - 0.25 * d1_sum[2]
-    g_pm = 0.25 * d1_diff[1:]
-    v = _SIGNS[:, None, None] * c * u / x[:, :, None]  # v+- = +-c*u+- / x+-
-    gv = g_pm[:, :, None] * v
-    grad = g_w[:, None] * s + gv[0] + gv[1]
-
-    h_ww = -0.5 * d2_sum[0] + 0.25 * (d2_sum[1] + d2[4] + d2[5])
-    h_wpm = 0.25 * (d2[[2, 5]] - d2[[3, 4]])
-    curv = g_pm / x
-    vecs = np.concatenate([s[None], v])
-    outer = vecs[:, None, :, :, None] * vecs[None, :, :, None, :]  # [i, j] = vecs_i vecs_j^T
-    cross = h_wpm[:, :, None, None] * (outer[0, 1:] + outer[1:, 0])
-    own = (0.25 * d2_sum[1:] - curv)[:, :, None, None] * outer[[1, 2], [1, 2]]
-    hess = h_ww[:, None, None] * outer[0, 0] + cross[0] + cross[1] + own[0] + own[1]
-    hess.reshape(-1, 9)[:, ::4] += (curv[0] + curv[1])[:, None] * (c * c)  # diagonal
+    # a_j f'(t_j) without the constant, and a_j f''(t_j), as C-ordered (n, 6)
+    d1 = np.multiply(log_t.T, _WEIGHTS, order="C")
+    d2 = np.divide(_WEIGHTS / _LN2, t.T, order="C")
+    coef = d1[:, None, :] @ _JACOBIAN  # (n, 1, 3): g = (g_w, g+, g-)
+    curv = coef[:, 0, 1:] / x  # k+-
+    k = _JACOBIAN.T @ (d2[:, :, None] * _JACOBIAN)
+    k.reshape(-1, 9)[:, 4::4] -= curv  # the own terms q+- / 4 - k+-
+    vecs = np.empty((len(z), 3, 3))  # V
+    vecs[:, 0] = s
+    vecs[:, 1:] = _SIGNS[:, None] * c[:, None] * u / x[:, :, None]
+    proj = vecs @ np.concatenate([basis, z[:, :, None]], axis=2)  # W, and V z
+    grad = (coef @ proj)[:, 0]  # B^T grad, and z . grad
+    hess = proj[:, :, :2].transpose(0, 2, 1) @ k @ proj[:, :, :2]
+    c2 = basis.transpose(0, 2, 1) @ (basis * (c * c)[:, :, None])  # B^T diag(c^2) B
+    hess += (curv[:, 0] + curv[:, 1])[:, None, None] * c2
+    hess.reshape(-1, 4)[:, ::3] -= grad[:, 2:]  # the diagonal of each 2x2
+    hess[:, 1, 0] = hess[:, 0, 1]  # symmetric bit for bit
     if rough is not None:
         grad[rough] = np.nan
         hess[rough] = np.nan
-    return value, grad, hess
+    return value, grad[:, :2], hess
 
 
 def correlation_objective(params: BlochParams, axis):

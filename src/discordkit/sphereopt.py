@@ -4,9 +4,9 @@ sphere.
 The strategy is a dense Fibonacci-lattice pass followed by shrinking
 spherical-cap grids around the incumbent: monotone in the incumbent value
 and bit-reproducible for a fixed configuration.  Objectives with a model
-(value, gradient and Hessian in one call) go from the lattice pass
-straight to at most four Riemannian Newton steps, which also certify the
-local maximum; rows they cannot certify run the plain cap rounds.
+(value, tangent gradient and Riemannian Hessian in one call) go from the
+lattice pass straight to at most four Newton steps, which also certify
+the local maximum; rows they cannot certify run the plain cap rounds.
 
 One engine, :func:`maximize_batch`, runs n such searches in lockstep: they
 share the Fibonacci pass, and each refine round builds the cap grids of
@@ -145,13 +145,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a_next * b.take(_AFTER, axis=1) - a_after * b.take(_NEXT, axis=1)
 
 
-def _tangent_bases(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pair (e1, e2) at each unit row of ``u``."""
+def _tangent_bases(u: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent pairs e1, e2 at the unit rows of ``u``, as (n, 3, 2) columns."""
     e1 = _cross(u, _EYE.take(np.argmin(np.abs(u), axis=1), axis=0))
     # (1, 3) @ (3, 1) runs the same BLAS dot as norm() of one 3-vector, so the
     # batched basis matches the single-axis one bit for bit
     e1 /= np.sqrt(np.matmul(e1[:, None, :], e1[:, :, None]))[:, 0]
-    return e1, _cross(u, e1)
+    return np.stack([e1, _cross(u, e1)], axis=2)
 
 
 def _cap_grids(
@@ -167,9 +167,9 @@ def _cap_grids(
     sin(j * golden angle), j = k + 1/2."""
     root, cos_ang, sin_ang = spiral
     dist = radius * root
-    e1, e2 = _tangent_bases(centers)
+    basis = _tangent_bases(centers)[:, None]
     pts = np.cos(dist) * centers[:, None, :] + np.sin(dist) * (
-        cos_ang * e1[:, None, :] + sin_ang * e2[:, None, :]
+        cos_ang * basis[..., 0] + sin_ang * basis[..., 1]
     )
     pts /= np.linalg.norm(pts, axis=2)[:, :, None]
     if hemisphere:
@@ -177,22 +177,9 @@ def _cap_grids(
     return pts
 
 
-def _tangent_model(z: np.ndarray, grad: np.ndarray, hess: np.ndarray):
-    """Tangent bases (n, 3, 2), tangent gradients B^T grad (n, 2) and
-    Riemannian Hessians B^T H B - (z . grad) I (n, 2, 2) at unit rows z
-    from their Euclidean gradients grad and Hessians hess."""
-    basis = np.stack(_tangent_bases(z), axis=2)
-    basis_t = basis.transpose(0, 2, 1)
-    g = np.matmul(basis_t, grad[:, :, None])[..., 0]
-    h = basis_t @ hess @ basis
-    radial = np.matmul(grad[:, None, :], z[:, :, None])[:, 0, 0]
-    h.reshape(-1, 4)[:, ::3] -= radial[:, None]  # the diagonal of each 2x2
-    return basis, g, h
-
-
 def _newton_polish(model, value, axis, hemisphere, max_step):
     """At most four Riemannian Newton steps from each row's lattice
-    incumbent: one ``model`` call there, and one per trial.
+    incumbent: a tangent basis and a ``model`` call there and per trial.
 
     A row is certified once its tangent gradient norm is at most 1e-10,
     the largest eigenvalue of its tangent Hessian is below -1e-8, and its
@@ -216,9 +203,9 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
     evaluations = np.zeros(n, dtype=int)
     grad_norm = np.full(n, np.nan)
     top = np.full(n, np.nan)
-    grad, hess = model(z)[1:]
+    basis = _tangent_bases(z)
+    g, h = model(z, basis)[1:]
     for k in range(_NEWTON_STEPS + 1):
-        basis, g, h = _tangent_model(z, grad, hess)
         a, b, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
         lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
         norm = np.hypot(g[:, 0], g[:, 1])
@@ -243,8 +230,9 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
         if hemisphere:
             trial[trial[:, 2] < 0.0] *= -1.0
         np.copyto(trial, z, where=~live[:, None])
-        # the trial's value and, where it is accepted, the next derivatives
-        trial_value, grad, hess = model(trial)
+        # the trial's value and, where it is accepted, the next basis and derivatives
+        basis = _tangent_bases(trial)
+        trial_value, g, h = model(trial, basis)
         evaluations += live
         live &= trial_value >= best - _VALUE_SLACK
         steps += live
@@ -275,15 +263,16 @@ def maximize_batch(
     :class:`OptResult` per row, in order.
 
     Without ``model`` every row runs all ``refine_rounds`` cap rounds.
-    ``model`` maps (n, 3) unit rows to the objectives' values (n,), bit
-    for bit those of ``f``, and their Euclidean gradients (n, 3) and
-    Hessians (n, 3, 3), NaN where undefined.  With it, at most four
-    Riemannian Newton steps polish each row's lattice incumbent, one model
-    call per step and none of ``f``, each step no longer than the first
-    cap radius min(pi/2, 10/sqrt(grid_points)).  A row whose local maximum
-    they certify stops there; every other row runs the plain rounds from
-    its lattice incumbent, and so ends exactly where a search without a
-    model ends.  The rounds evaluate those rows only: while some row is
+    ``model(z, basis)`` takes (n, 3) unit rows z and orthonormal tangent
+    bases B (n, 3, 2) at them, and returns the objectives' values (n,), bit
+    for bit those of ``f``, tangent gradients B^T grad (n, 2) and Riemannian
+    Hessians B^T H B - (z . grad) I (n, 2, 2), NaN where undefined.  With
+    it, at most four Newton steps polish each row's lattice incumbent, one
+    model call per step and none of ``f``, each step no longer than the
+    first cap radius min(pi/2, 10/sqrt(grid_points)).  A row whose local
+    maximum they certify stops there; every other row runs the plain rounds
+    from its lattice incumbent, and so ends exactly where a search without
+    a model ends.  The rounds evaluate those rows only: while some row is
     certified, ``f`` is called as ``f(points, rows)``, points of shape
     (len(rows), m, 3) for the ascending search indices ``rows``.
 

@@ -287,9 +287,11 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
         calls.append(args[-1].copy())
         return kernel(*args)
 
-    def recording_model(*args):
-        model_calls.append(args[-1].shape)
-        return model(*args)
+    def recording_model(r, s, c, z, basis):
+        # the basis is the tangent pair at this iterate, not a stale one
+        assert np.abs(np.einsum("nia,ni->na", basis, z)).max() <= 1e-15
+        model_calls.append((z.shape, basis.shape))
+        return model(r, s, c, z, basis)
 
     monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
     monkeypatch.setattr(discord_module, "_correlation_model", recording_model)
@@ -304,7 +306,7 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     assert all(np.array_equal(z, np.broadcast_to(z[:1], z.shape)) for z in calls)
     lattice = fibonacci_grid(SphereOptConfig().grid_points)  # the hemisphere
     assert np.array_equal(np.concatenate([z[0] for z in calls]), lattice)
-    assert model_calls == [(11, 3)] * 4
+    assert model_calls == [((11, 3), (11, 3, 2))] * 4
 
 
 @pytest.mark.parametrize("c3", [0.3, 0.5, 0.8])

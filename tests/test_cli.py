@@ -365,6 +365,18 @@ def test_damp_non_finite_grid_bound_exits_2(capsys, grid):
     assert err == f"error: gamma grid bounds must be finite, got {grid!r}\n"
 
 
+def test_damp_grid_ending_an_ulp_past_stop_exits_0(capsys):
+    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002; the grid ends at stop
+    code, out, _ = run_cli(
+        capsys, "damp", "--r=0.1,0.2,0.3", "--s=0.1,0,0.2", "--c=0.2,-0.1,0.3",
+        "--gamma-grid", "0.09:1:0.07"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 14
+    assert float(rows[0][0]) == 0.09 and float(rows[-1][0]) == 1.0
+
+
 def test_damp_output_uses_17_digit_floats(capsys):
     _, out, _ = run_cli(
         capsys, "damp", "--r", "0,0,0", "--s", "0,0,0", "--c", "0.2,0.2,0.2",

@@ -733,9 +733,11 @@ def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
         calls.append(args[-1].shape)
         return kernel(*args)
 
-    def counting_model(*args):
-        model_calls.append(args[-1].shape)
-        return model(*args)
+    def counting_model(r, s, c, z, basis):
+        # the basis is the tangent pair at this iterate, not a stale one
+        assert np.abs(np.einsum("nia,ni->na", basis, z)).max() <= 1e-15
+        model_calls.append((z.shape, basis.shape))
+        return model(r, s, c, z, basis)
 
     def counting_arguments(*args):
         log_arguments.append(args[-1].shape)
@@ -756,7 +758,7 @@ def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
         trials = res.evaluations - 2000
         assert res.refine_rounds == 0 and 1 <= trials <= 4
         assert calls == [(1, 2000, 3)]
-        assert model_calls == [(1, 3)] * (1 + trials)
+        assert model_calls == [((1, 3), (1, 3, 2))] * (1 + trials)
         assert len(log_arguments) == 2 + trials
 
 
@@ -814,8 +816,8 @@ def test_reported_value_covers_every_evaluated_axis(monkeypatch):
             seen.append((False, best))
             return values
 
-        def recording_model(z):
-            out = model(z)
+        def recording_model(z, basis):
+            out = model(z, basis)
             seen.append((True, out[0]))
             return out
 

@@ -22,7 +22,13 @@ from discordkit import (
     post_measurement_ensemble,
 )
 from discordkit import discord as discord_module
-from discordkit.measurement import _correlation_kernel, _correlation_model
+from discordkit.density import LOG_CLAMP, _xlog2
+from discordkit.measurement import (
+    _combine,
+    _correlation_kernel,
+    _correlation_model,
+    _log_arguments,
+)
 from discordkit.sampling import draw_general_batch
 
 from _oracles import conditional_entropy_reference, damped_objective_reference
@@ -287,21 +293,34 @@ def _stacked(states):
     return tuple(np.stack([getattr(p, k) for p in states]) for k in "rsc")
 
 
+def _bases(z):
+    """An orthonormal tangent pair at each unit row of z, as (n, 3, 2)
+    columns: z x e_k for the e_k least aligned with z, then z x e1."""
+    e1 = np.cross(z, np.eye(3)[np.argmin(np.abs(z), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return np.stack([e1, np.cross(z, e1)], axis=2)
+
+
 def test_correlation_derivatives_match_central_differences():
     rng = np.random.default_rng(269)
     r, s, c = _stacked(draw_general_batch(rng, 40))
     z = rng.normal(size=(40, 3))
     z /= np.linalg.norm(z, axis=1)[:, None]
-    _, grad, hess = _correlation_model(r, s, c, z)
+    basis = _bases(z)
+    _, grad, hess = _correlation_model(r, s, c, z, basis)
 
-    def g(shift):  # the kernel at z + shift, one axis per state
-        return _correlation_kernel(r, s, c, (z + shift)[:, None, :])[:, 0]
+    def g(shift):  # the kernel at the retraction normalize(z + B shift), one axis per state
+        moved = z + basis @ shift
+        moved /= np.linalg.norm(moved, axis=1)[:, None]
+        return _correlation_kernel(r, s, c, moved[:, None])[:, 0]
 
-    unit = np.eye(3)
+    unit = np.eye(2)
     h = 1e-5
     fd_grad = np.stack([(g(h * e) - g(-h * e)) / (2 * h) for e in unit], axis=1)
     # measured worst deviation 4.4e-11 (truncation and rounding of the quotient)
     np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-8)
+    # the retraction is second order, so its second differences give the
+    # Riemannian Hessian B^T H B - (z . grad) I, radial term included
     h = 1e-4
     fd_hess = np.empty_like(hess)
     for i, ei in enumerate(unit):
@@ -322,7 +341,9 @@ def test_correlation_derivatives_are_nan_where_undefined():
         SINGLET,
         BlochParams([0.1, 0, 0.2], [0, 0.1, 0], [0.3, 0.2, 0.1]),
     ]
-    value, grad, hess = _correlation_model(*_stacked(states), np.tile([0.0, 0.0, 1.0], (3, 1)))
+    z = np.tile([0.0, 0.0, 1.0], (3, 1))
+    value, grad, hess = _correlation_model(*_stacked(states), z, _bases(z))
+    assert grad.shape == (3, 2) and hess.shape == (3, 2, 2)
     assert np.isnan(grad[:2]).all() and np.isnan(hess[:2]).all()
     assert np.isfinite(grad[2]).all() and np.isfinite(hess[2]).all()
     # the value is defined on every row, rough or not
@@ -348,7 +369,9 @@ def test_correlation_model_value_is_the_kernels_bit_for_bit():
     def check(axes):  # (n, m, 3): the model column by column against the kernel
         values = _correlation_kernel(r, s, c, axes)
         for j in range(axes.shape[1]):
-            np.testing.assert_array_equal(_correlation_model(r, s, c, axes[:, j])[0], values[:, j])
+            z = axes[:, j]
+            value = _correlation_model(r, s, c, z, _bases(z))[0]
+            np.testing.assert_array_equal(value, values[:, j])
 
     check(np.repeat(fibonacci_grid(2000)[None, ::9], n, axis=0))  # the lattice pass
     centers = np.stack([_random_axis(rng) for _ in range(n)])
@@ -367,11 +390,26 @@ def test_correlation_model_keeps_the_kernels_floor(eps, raises):
     z = np.array([[0.6, 0.0, 0.8]])
     if raises:
         for call in (lambda: _correlation_kernel(r, s, c, z[:, None]),
-                     lambda: _correlation_model(r, s, c, z)):
+                     lambda: _correlation_model(r, s, c, z, _bases(z))):
             with pytest.raises(DomainError, match="log argument"):
                 call()
     else:
-        assert _correlation_model(r, s, c, z)[0] == _correlation_kernel(r, s, c, z[:, None])[:, 0]
+        value = _correlation_model(r, s, c, z, _bases(z))[0]
+        assert value == _correlation_kernel(r, s, c, z[:, None])[:, 0]
+
+
+def test_kernel_skips_the_clamp_only_where_nothing_is_clamped():
+    # r = s = (0, 0, 1/3), c = (0, 0, -1/3) has rank 3 (|11> spans its
+    # kernel): at e3 its log argument 1 - w - x- is 0 up to rounding
+    # (1.1e-16, below the clamp, so it counts as 0), while at (0.6, 0, 0.8)
+    # the smallest is 0.133 and nothing is clamped
+    third = 1.0 / 3.0
+    r, s, c = _stacked([BlochParams([0, 0, third], [0, 0, third], [0, 0, -third])])
+    for axis, clamped in (([0.0, 0.0, 1.0], True), ([0.6, 0.0, 0.8], False)):
+        z = np.array([[axis]])
+        t = _log_arguments(r, s, c, z)[0]
+        assert (t.min() < LOG_CLAMP) == clamped
+        np.testing.assert_array_equal(_correlation_kernel(r, s, c, z), _combine(_xlog2(t)))
 
 
 def test_kernel_value_depends_on_its_axis_only(monkeypatch):

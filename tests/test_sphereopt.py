@@ -249,17 +249,34 @@ def test_batch_of_zero_searches_calls_nothing():
     assert maximize_batch(never, 0) == []
 
 
+def _tangent(z, basis, grad, hess):
+    """The tangent gradients B^T grad and Riemannian Hessians
+    B^T hess B - (z . grad) I of Euclidean derivatives at the unit rows z,
+    after checking that ``basis`` holds an orthonormal tangent pair at each
+    row: the model's contract, which a basis left over from an earlier
+    iterate breaks."""
+    assert basis.shape == z.shape + (2,)
+    np.testing.assert_allclose(np.einsum("nia,ni->na", basis, z), 0.0, atol=1e-15)
+    gram = np.einsum("nia,nib->nab", basis, basis)
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), atol=1e-15)
+    radial = np.einsum("ni,ni->n", grad, z)[:, None, None] * np.eye(2)
+    hess = np.einsum("nia,nij,njb->nab", basis, hess, basis) - radial
+    return np.einsum("nia,ni->na", basis, grad), hess
+
+
 def _quadratic_batch(n: int, seed: int):
     """n quadratic forms z.A z, as a batch objective that also takes a row
-    subset, and their model: the values, gradients 2Az and Hessians 2A."""
+    subset, and their model on (z, basis): the values and the tangent forms
+    of the gradients 2Az and Hessians 2A."""
     mats = np.random.default_rng(seed).normal(size=(n, 3, 3))
     mats = 0.5 * (mats + mats.transpose(0, 2, 1))
 
     def f(z, rows=slice(None)):
         return np.einsum("nmi,nij,nmj->nm", z, mats[rows], z)
 
-    def model(z):
-        return f(z[:, None, :])[:, 0], 2.0 * np.einsum("nij,nj->ni", mats, z), 2.0 * mats
+    def model(z, basis):
+        grad = 2.0 * np.einsum("nij,nj->ni", mats, z)
+        return (f(z[:, None, :])[:, 0],) + _tangent(z, basis, grad, 2.0 * mats)
 
     return mats, f, model
 
@@ -310,9 +327,9 @@ def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
         objective_calls.append(z.shape)
         return f(z)
 
-    def recording_model(z):
-        model_calls.append(z.shape)
-        return model(z)
+    def recording_model(z, basis):
+        model_calls.append((z.shape, basis.shape))
+        return model(z, basis)
 
     results = maximize_batch(recording, 6, cfg, recording_model)
     for m, res in zip(mats, results):
@@ -325,7 +342,7 @@ def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
     # per trial, the last row to finish setting the count
     chunks = [200] if grid_points == 200 else [1365, 635]
     assert objective_calls == [(6, k, 3) for k in chunks]
-    assert model_calls == [(6, 3)] * (1 + max(res.newton_steps for res in results))
+    assert model_calls == [((6, 3), (6, 3, 2))] * (1 + max(res.newton_steps for res in results))
 
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
@@ -346,10 +363,9 @@ def test_reported_value_is_the_objective_at_the_axis(kind, hemisphere):
 def _tangent_scaled(model, factor):
     """The model with its tangent gradient scaled by ``factor``."""
 
-    def scaled(z):
-        value, grad, hess = model(z)
-        radial = np.einsum("ni,ni->n", grad, z)[:, None] * z
-        return value, radial + factor * (grad - radial), hess
+    def scaled(z, basis):
+        value, grad, hess = model(z, basis)
+        return value, factor * grad, hess
 
     return scaled
 
@@ -368,7 +384,9 @@ def _rotated(f, mats, angle):
         )
         turned.append(rot @ m @ rot.T)
     turned = np.array(turned)
-    return lambda z: (f(z[:, None])[:, 0], 2.0 * np.einsum("nij,nj->ni", turned, z), 2.0 * turned)
+    return lambda z, basis: (f(z[:, None])[:, 0],) + _tangent(
+        z, basis, 2.0 * np.einsum("nij,nj->ni", turned, z), 2.0 * turned
+    )
 
 
 @pytest.mark.parametrize(
@@ -385,8 +403,8 @@ def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
     mats, f, model = _quadratic_batch(3, 131)
     cfg = SphereOptConfig(hemisphere=True)
 
-    def undefined(z):
-        return f(z[:, None])[:, 0], np.full(z.shape, np.nan), np.full(z.shape + (3,), np.nan)
+    def undefined(z, basis):
+        return f(z[:, None])[:, 0], np.full((len(z), 2), np.nan), np.full((len(z), 2, 2), np.nan)
 
     bad = {
         "undefined": undefined,
@@ -406,8 +424,8 @@ def test_cap_rounds_evaluate_the_uncertified_rows_only():
     mats, f, model = _quadratic_batch(6, 127)
     open_rows = [1, 4]
 
-    def partly_undefined(z):  # rows 1 and 4 cannot be certified
-        value, grad, hess = model(z)
+    def partly_undefined(z, basis):  # rows 1 and 4 cannot be certified
+        value, grad, hess = model(z, basis)
         grad[open_rows] = np.nan
         hess[open_rows] = np.nan
         return value, grad, hess
