@@ -326,17 +326,23 @@ def bloch_vector(rho2: np.ndarray) -> np.ndarray:
 
 
 def _xlog2(t) -> np.ndarray:
-    """t*log2(t) elementwise, the one x log x of the package; arguments
-    below 1e-12 (and NaN) give zero, the x log x -> 0 limit.
+    """t*log2(t) elementwise, the one checked x log x of the package.
 
-    Those arguments are set to 1 (1 log2 1 = 0) in place: a float array
-    ``t`` is overwritten, so callers pass a temporary they own (copying
-    the kernel's (6, n, m) arguments added a quarter to its time at
-    n = 12).  Always ``np.log2``: ``math.log2`` differs from it in the
-    last bit on some inputs.
+    Every argument is a log argument 1 + eps +- x, or an eigenvalue, of a
+    state that passed the PSD gate, so it is at least ``_LOG_ARG_FLOOR``
+    (-4e-9); a lower one, or NaN, raises ``DomainError``.  Arguments from
+    the floor up to 1e-12 give zero, the x log x -> 0 limit: they are set
+    to 1 (1 log2 1 = 0) in place, a pass that runs only when some argument
+    needs it.  A float array ``t`` is overwritten, so callers pass a
+    temporary they own (copying the kernel's (6, n, m) arguments added a
+    quarter to its time at n = 12).  Always ``np.log2``: ``math.log2``
+    differs from it in the last bit on some inputs.
     """
     t = np.asarray(t, dtype=float)
-    t[~(t >= LOG_CLAMP)] = 1.0
+    lowest = t.min(initial=np.inf)
+    _check_floor(lowest, _LOG_ARG_FLOOR, DomainError, "log argument")
+    if not lowest >= LOG_CLAMP:
+        t[t < LOG_CLAMP] = 1.0
     out = np.log2(t)
     out *= t
     return out
@@ -352,7 +358,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """
     lam = _eigenvalues(_hermitian_part(_finite_hermitian(rho)))
     _check_floor(lam[-1], EIGENVALUE_FLOOR, PhysicalityError, "eigenvalue")
-    lam = np.clip(lam, 0.0, None)
     return float(-np.sum(_xlog2(lam)))
 
 
@@ -363,8 +368,9 @@ def entropic_h(eps, x):
 
     Even in ``x``.  Both arguments broadcast; the return is a float for
     scalar input and an array otherwise.  The two log arguments are
-    stacked and go through one floor check and one :func:`_xlog2` pass;
-    those inside [-4e-9, 1e-12) contribute zero (the x log x -> 0 limit).
+    stacked and go through one :func:`_xlog2` pass, which checks their
+    floor; those inside [-4e-9, 1e-12) contribute zero (the x log x -> 0
+    limit).
 
     Raises
     ------
@@ -373,9 +379,7 @@ def entropic_h(eps, x):
         eigenvalue floor, or if an argument is NaN.
     """
     eps_arr, x_arr = np.asarray(eps, dtype=float), np.asarray(x, dtype=float)
-    t = np.stack([1.0 + eps_arr + x_arr, 1.0 + eps_arr - x_arr])
-    _check_floor(t.min(initial=np.inf), _LOG_ARG_FLOOR, DomainError, "log argument")
-    xlog = _xlog2(t)
+    xlog = _xlog2(np.stack([1.0 + eps_arr + x_arr, 1.0 + eps_arr - x_arr]))
     out = 0.5 * (xlog[0] + xlog[1])
     if np.isscalar(eps) and np.isscalar(x):
         return float(out)

@@ -229,16 +229,16 @@ def discord_s0_planar(r, c: float) -> float:
 
 
 def _mutual_informations(states, spectra) -> tuple[np.ndarray, np.ndarray]:
-    """The mutual informations of ``states`` from their gated spectra
-    (clipped at 0), and their H_0(|r|) terms, in one vectorized pass: one
-    :func:`entropic_h` call on the |r| and |s| of every state, and one
-    :func:`_xlog2` on the stacked spectra.  Every operation is elementwise
-    or a sum within one state, so each value is the one of that state
-    alone, bit for bit."""
+    """The mutual informations of ``states`` from their gated spectra, and
+    their H_0(|r|) terms, in one vectorized pass: one :func:`entropic_h`
+    call on the |r| and |s| of every state, and one :func:`_xlog2` on the
+    stacked spectra, which counts eigenvalues below 1e-12 (the gate admits
+    -1e-9) as zero.  Every operation is elementwise or a sum within one
+    state, so each value is the one of that state alone, bit for bit."""
     n = len(states)
     h = entropic_h(0.0, np.array([p.r_norm for p in states] + [p.s_norm for p in states]))
     h_r, h_s = h[:n], h[n:]
-    lam_terms = np.sum(_xlog2(np.clip(np.stack(spectra), 0.0, None)), axis=1)
+    lam_terms = np.sum(_xlog2(np.stack(spectra)), axis=1)
     return 2.0 - h_r - h_s + lam_terms, h_r
 
 
@@ -312,14 +312,17 @@ def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[Discord
     ``closed_forms`` set, :func:`_analytic_dispatch` serves the states of
     its families, and C = I - Q; the other states (all of them otherwise)
     go through one :func:`_correlation_search`, and C = -H_0(|r|) +
-    max_z G(z).  The mutual informations come from one vectorized pass
-    (see :func:`_mutual_informations`), so each report is the one a batch
-    of that state alone gives, bit for bit.
+    max_z G(z).  So does a gated state whose closed form raises
+    ``DomainError``: within an ulp of the eigenvalue floor, the closed
+    form's analytic spectrum can round below it where LAPACK's does not.
+    The mutual informations come from one vectorized pass (see
+    :func:`_mutual_informations`), so each report is the one a batch of
+    that state alone gives, bit for bit.
     """
     if not states:
         return []
     spectra = [_gated_state(p)[1] for p in states]
-    hits = list(map(_analytic_dispatch, states)) if closed_forms else [None] * len(states)
+    hits = list(map(_closed_form, states)) if closed_forms else [None] * len(states)
     misses = [p for p, hit in zip(states, hits) if hit is None]
     found = iter(_correlation_search(misses, cfg) if misses else ())
     mutual, h_r = _mutual_informations(states, spectra)
@@ -344,11 +347,13 @@ def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[Discord
     return reports
 
 
-def _unit_or_z(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm <= _FAMILY_TOL:
-        return np.array([0.0, 0.0, 1.0])
-    return v / norm
+def _closed_form(params: BlochParams):
+    """:func:`_analytic_dispatch` on a gated state, None where its closed
+    form raises ``DomainError``."""
+    try:
+        return _analytic_dispatch(params)
+    except DomainError:
+        return None
 
 
 def _analytic_dispatch(params: BlochParams):
@@ -360,7 +365,7 @@ def _analytic_dispatch(params: BlochParams):
     if s_norm <= _FAMILY_TOL and iso:
         if r_norm <= _FAMILY_TOL:
             return METHOD_WERNER, werner_discord(c[2]), np.array([0.0, 0.0, 1.0])
-        axis = _unit_or_z(r)
+        axis = r / r_norm
         if abs(c[2] - r_norm) <= _FAMILY_TOL and c[2] > _FAMILY_TOL:
             return (
                 METHOD_S0_ISOTROPIC_C_EQ_R,
@@ -369,15 +374,15 @@ def _analytic_dispatch(params: BlochParams):
             )
         return METHOD_S0_ISOTROPIC, discord_s0_isotropic(r_norm, c[2]), axis
     if r_norm <= _FAMILY_TOL and iso:
-        return METHOD_R0_ISOTROPIC, discord_r0_isotropic(s_norm, c[2]), _unit_or_z(s)
+        return METHOD_R0_ISOTROPIC, discord_r0_isotropic(s_norm, c[2]), s / s_norm
     axial = abs(c[0]) <= _FAMILY_TOL and abs(c[1]) <= _FAMILY_TOL
     if s_norm <= _FAMILY_TOL and axial:
         return METHOD_AXIAL_ZERO, 0.0, np.array([0.0, 0.0, 1.0])
     planar = abs(c[2]) <= _FAMILY_TOL and abs(c[0] - c[1]) <= _FAMILY_TOL
     if s_norm <= _FAMILY_TOL and planar:
-        axis = _unit_or_z(np.array([r[0], r[1], 0.0]))
-        if np.linalg.norm(r[:2]) <= _FAMILY_TOL:
-            axis = np.array([1.0, 0.0, 0.0])
+        in_plane = np.array([r[0], r[1], 0.0])
+        rho12 = float(np.linalg.norm(in_plane))
+        axis = in_plane / rho12 if rho12 > _FAMILY_TOL else np.array([1.0, 0.0, 0.0])
         return METHOD_S0_PLANAR, discord_s0_planar(r, c[0]), axis
     return None
 

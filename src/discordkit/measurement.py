@@ -14,16 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    _LOG_ARG_FLOOR,
-    LOG_CLAMP,
-    BlochParams,
-    _check_floor,
-    _xlog2,
-    qubit_state,
-    von_neumann_entropy,
-)
-from .errors import DegenerateBranchError, DomainError, NormError
+from .density import BlochParams, _xlog2, qubit_state, von_neumann_entropy
+from .errors import DegenerateBranchError, NormError
 
 _BRANCH_FLOOR = 1e-12
 _QUAT_NORM_TOL = 1e-9
@@ -200,19 +192,14 @@ def _correlation_kernel(
 
     Every log argument 1 + eps +- x of the three entropic terms is four
     times an eigenvalue of a 2x2 compression of the state, so on a state
-    that passed the PSD gate it is at least ``density._LOG_ARG_FLOOR``.  Log
-    arguments from that bound up to 1e-12 contribute zero (the
-    x log x -> 0 limit); anything lower raises ``DomainError``.  Each
-    value depends on its state and axis alone, bit for bit, whatever the
-    shape of the batch (see :func:`_log_arguments`).
+    that passed the PSD gate it is at least -4e-9.  The terms come from
+    :func:`density._xlog2`, which checks that floor (``DomainError``
+    below it) and counts arguments from it up to 1e-12 as zero (the
+    x log x -> 0 limit).  Each value depends on its state and axis alone,
+    bit for bit, whatever the shape of the batch (see
+    :func:`_log_arguments`).
     """
-    t = _log_arguments(r, s, c, z)[0]
-    lowest = t.min(initial=np.inf)
-    _check_floor(lowest, _LOG_ARG_FLOOR, DomainError, "log argument")
-    if lowest >= LOG_CLAMP:  # nothing to clamp: _xlog2 without its clamp pass
-        xlog = np.log2(t)
-        return _combine(np.multiply(xlog, t, out=xlog))
-    return _combine(_xlog2(t))
+    return _combine(_xlog2(_log_arguments(r, s, c, z)[0]))
 
 
 def _combine(xlog: np.ndarray) -> np.ndarray:
@@ -229,11 +216,13 @@ def _correlation_model(
     """Value (n,), tangent gradient (n, 2) and Riemannian Hessian (n, 2, 2)
     of the objective of :func:`_correlation_kernel` at one axis per state,
     z of shape (n, 3), in orthonormal tangent bases B (``basis``, (n, 3, 2))
-    at z, from one set of log arguments and one ``np.log2``.
+    at z, from one set of log arguments.
 
-    The value is the kernel's at that axis, bit for bit (same floor check,
-    clamp, log2(t) * t and sum).  The objective is sum_j a_j f(t_j), with
-    f(t) = t log2 t, a = ``_WEIGHTS`` and t_j = 1 + J_j . (w, x+, x-), J =
+    The value is the kernel's at that axis, bit for bit: the same
+    :func:`density._xlog2` pass, which checks the floor and clamps t in
+    place, and the same sum; the derivatives take log2 of that clamped t.
+    The objective is sum_j a_j f(t_j), with f(t) = t log2 t, a =
+    ``_WEIGHTS`` and t_j = 1 + J_j . (w, x+, x-), J =
     ``_JACOBIAN``; w = s.z has gradient s, x+- = |u+-| = |r +- c*z| has
     gradient v+- = +-c*u+- / x+- and Hessian (diag(c^2) - v+- v+-^T) / x+-.
     With V = [s; v+; v-], g = J^T a log2(t) (f' is log2 t + 1/ln 2, and
@@ -247,15 +236,13 @@ def _correlation_model(
     """
     t, u, x = _log_arguments(r, s, c, z[:, None, :])
     t, u, x = t[..., 0], u[..., 0].transpose(2, 0, 1), x[..., 0].T  # (6, n), (n, 2, 3), (n, 2)
-    lowest = t.min(initial=np.inf)
-    _check_floor(lowest, _LOG_ARG_FLOOR, DomainError, "log argument")
     rough = None
-    if not min(lowest, x.min(initial=np.inf)) >= _SMOOTH_FLOOR:
+    # on the raw t: _xlog2 sets a clamped argument to 1, which looks smooth
+    if not min(t.min(initial=np.inf), x.min(initial=np.inf)) >= _SMOOTH_FLOOR:
         rough = ~((t.min(axis=0) >= _SMOOTH_FLOOR) & (x.min(axis=1) >= _SMOOTH_FLOOR))
-        t[~(t >= LOG_CLAMP)] = 1.0  # _xlog2's clamp, which only a rough row needs
         x[rough] = 1.0
+    value = _combine(_xlog2(t))
     log_t = np.log2(t)
-    value = _combine(log_t * t)
     # a_j f'(t_j) without the constant, and a_j f''(t_j), as C-ordered (n, 6)
     d1 = np.multiply(log_t.T, _WEIGHTS, order="C")
     d2 = np.divide(_WEIGHTS / _LN2, t.T, order="C")

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discordkit import BlochParams, cli, discord_auto, maximize_correlation_objective
+from discordkit import (
+    BlochParams,
+    SphereOptConfig,
+    cli,
+    discord_auto,
+    discord_numeric,
+    gamma_sweep,
+    maximize_correlation_objective,
+)
 from discordkit.cli import main
 from discordkit.sampling import draw_s0_isotropic, draw_s0_planar
 
@@ -208,6 +216,76 @@ def test_compute_closed_form_below_zero_eigenvalue_exits_0(capsys):
     assert payload["discord"] == pytest.approx(json.loads(out)["discord"], abs=1e-8)
 
 
+def test_compute_state_its_closed_form_refuses_exits_0(capsys):
+    """The gate accepts this s0-isotropic state (LAPACK's smallest
+    eigenvalue is just above -1e-9) where its closed form's analytic
+    spectrum rounds just below; the numeric route answers."""
+    flags = ["--r=0.3468229929777717,0.03351376305701353,0.6446504091617274",
+             "--s=0,0,0", "--c=-0.26720841643592075,-0.26720841643592075,-0.26720841643592075"]
+    code, out, err = run_cli(capsys, "compute", *flags)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["method"] == "numeric"
+    code, forced, _ = run_cli(capsys, "compute", "--numeric", *flags)
+    assert code == 0 and forced == out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--state", "missing.json"], "cannot read state file 'missing.json'"),
+        (["--r", "0,0,0", "--s", "0,0,0"], "state requires --r, --s and --c"),
+    ],
+    ids=["missing-file", "no-c"],
+)
+def test_compute_without_a_state_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "compute", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+_CFG_FLAGS = ["--r=0.1,0.2,0.3", "--s=0.1,0,0.2", "--c=0.2,-0.1,0.3"]
+_CFG_PARAMS = BlochParams([0.1, 0.2, 0.3], [0.1, 0, 0.2], [0.2, -0.1, 0.3])
+
+
+@pytest.mark.parametrize(
+    "params, search_flags, cfg",
+    [
+        (_CFG_PARAMS, ["--grid-points", "20", "--refine-rounds", "1"],
+         SphereOptConfig(grid_points=20, refine_rounds=1)),
+        # a tied maximum the polish cannot certify, so the cap rounds decide
+        (BlochParams([0, 0, 0], [0, 0, 0], [0.5, -0.5, 0.2]), ["--refine-rounds", "1"],
+         SphereOptConfig(refine_rounds=1)),
+    ],
+    ids=["general", "tied-bell"],
+)
+def test_compute_search_flags_reach_the_search(capsys, params, search_flags, cfg):
+    state = [f"--{k}={','.join(map(repr, getattr(params, k).tolist()))}" for k in "rsc"]
+    code, out, _ = run_cli(capsys, "compute", "--numeric", *state, *search_flags)
+    assert code == 0
+    payload = json.loads(out)
+    expected, default = discord_numeric(params, cfg), discord_numeric(params)
+    for name in ("mutual_info", "classical_corr", "discord", "method"):
+        assert payload[name] == getattr(expected, name)
+    assert payload["argmax_axis"] == list(expected.argmax_axis)
+    assert payload["spectrum"] == list(expected.spectrum)
+    # the flags change the answer, so a dropped flag shows
+    assert expected.discord != default.discord
+    assert not np.array_equal(expected.argmax_axis, default.argmax_axis)
+
+
+def test_damp_search_flags_reach_the_search(capsys):
+    cfg = SphereOptConfig(grid_points=20, refine_rounds=1)
+    code, out, _ = run_cli(capsys, "damp", *_CFG_FLAGS, "--gamma-grid", "0:1:0.25",
+                           "--grid-points", "20", "--refine-rounds", "1")
+    assert code == 0
+    rows = [tuple(float(v) for v in line.split(",")) for line in out.splitlines()[1:]]
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert rows == gamma_sweep(_CFG_PARAMS, grid, cfg)
+    assert rows != gamma_sweep(_CFG_PARAMS, grid)
+
+
 def _curve(capsys, *argv):
     code, out, _ = run_cli(capsys, "curve", *argv)
     assert code == 0
@@ -354,6 +432,22 @@ def test_damp_bad_grid_exits_2(capsys):
     )
     assert code == 2
     assert "start" in err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0:1", "argument --gamma-grid: expected start:stop:step, got '0:1'"),
+        ("a:1:0.1", "argument --gamma-grid: non-numeric bound in 'a:1:0.1'"),
+        ("0:1:0", "error: step must be positive, got 0.0"),
+        ("0:1.5:0.5", "error: gamma grid must lie inside [0, 1]"),
+    ],
+    ids=["two-parts", "non-numeric", "zero-step", "past-one"],
+)
+def test_damp_malformed_grid_exits_2(capsys, grid, message):
+    code, out, err = run_cli(capsys, "damp", *REF_B_FLAGS, "--gamma-grid", grid)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:0.1", "0:nan:0.1", "0:1:nan"])

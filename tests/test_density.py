@@ -2,6 +2,8 @@
 the eigendecomposition against the Jacobi oracle, partial traces,
 entropies and the entropic function."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -307,6 +309,20 @@ def test_non_finite_entries_are_unphysical(name, entry, value):
     i, j = entry
     rho[i, j] = rho[j, i] = value
     with pytest.raises(PhysicalityError, match="non-finite"):
+        _NON_FINITE_GATED[name](rho)
+
+
+@pytest.mark.parametrize("name", ["check_density_matrix", "apply_kraus"])
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.eye(3, dtype=complex) / 3, "expected a 2x2 or 4x4 matrix, got shape (3, 3)"),
+        (np.eye(4, dtype=complex) * (1.0 + 1e-9) / 4, "deviates from 1 beyond 1e-12"),
+    ],
+    ids=["3x3", "trace"],
+)
+def test_density_matrix_gate_rejects_shape_and_trace(name, rho, message):
+    with pytest.raises(PhysicalityError, match=re.escape(message)):
         _NON_FINITE_GATED[name](rho)
 
 

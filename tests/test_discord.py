@@ -653,6 +653,88 @@ def test_one_builder_batch_equals_discord_auto_state_by_state():
         _assert_same_report(report, discord_auto(params))
 
 
+# The gate's LAPACK spectrum puts its smallest eigenvalue just above
+# -1e-9, the s0-isotropic closed form's analytic spectrum just below.
+_REFUSED_BY_ITS_CLOSED_FORM = BlochParams(
+    [0.3468229929777717, 0.03351376305701353, 0.6446504091617274],
+    [0, 0, 0],
+    [-0.26720841643592075] * 3,
+)
+
+
+def test_state_its_closed_form_refuses_is_answered_numerically():
+    params = _REFUSED_BY_ITS_CLOSED_FORM
+    assert -1e-9 <= min(density._gated_state(params)[1]) < 0.0
+    with pytest.raises(DomainError, match="s0-isotropic"):
+        discord_s0_isotropic(params.r_norm, params.c[2])
+    report = discord_auto(params)
+    assert report.method == METHOD_NUMERIC
+    _assert_same_report(report, discord_numeric(params))
+
+
+def _gate_edge(params: BlochParams, marginal: str) -> list[BlochParams]:
+    """Both ends of a bisection of the scale of ``marginal`` (r or s) to
+    where the PSD gate starts to refuse the state; adjacent floats."""
+
+    def scaled(k):
+        if marginal == "r":
+            return BlochParams(k * params.r, params.s, params.c)
+        return BlochParams(params.r, k * params.s, params.c)
+
+    def gated(k):
+        try:
+            build_state(scaled(k))
+        except PhysicalityError:
+            return False
+        return True
+
+    lo, hi = 1.0, 2.0
+    while gated(hi):
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if gated(mid) else (lo, mid)
+    return [scaled(lo), scaled(hi)]
+
+
+@pytest.mark.parametrize(
+    "draw, marginal",
+    [(draw_s0_isotropic, "r"), (draw_r0_isotropic, "s"), (draw_s0_planar, "r")],
+    ids=["s0-isotropic", "r0-isotropic", "s0-planar"],
+)
+def test_family_states_at_the_gate_floor_get_a_report(draw, marginal):
+    # growing the nonzero marginal moves the smallest eigenvalue down to the
+    # gate's floor; there the closed form's analytic spectrum may round to
+    # either side of it, and a state the gate accepts must get an answer
+    rng = np.random.default_rng(1)
+    accepted = served_numerically = 0
+    for _ in range(40):
+        for params in _gate_edge(draw(rng), marginal):
+            try:
+                build_state(params)
+            except PhysicalityError:
+                continue
+            accepted += 1
+            report = discord_auto(params)
+            assert np.isfinite(report.discord)
+            if report.method == METHOD_NUMERIC:
+                served_numerically += 1
+                _assert_same_report(report, discord_numeric(params))
+    assert accepted == 40 and served_numerically > 0
+
+
+@pytest.mark.parametrize("r, c", [((0, 0, 0.3), 0.4), ((0, 0, -0.5), -0.3)])
+def test_planar_state_with_r_on_e3_takes_axis_e1(r, c):
+    # r1 = r2 = 0: the objective is symmetric about e3, and e1 is the axis
+    # the closed form reports
+    params = BlochParams(r, [0, 0, 0], [c, c, 0])
+    report, numeric = discord_auto(params), discord_numeric(params)
+    assert report.method == METHOD_S0_PLANAR
+    assert np.array_equal(report.argmax_axis, [1.0, 0.0, 0.0])
+    assert abs(report.discord - numeric.discord) <= 1e-15
+    maximum = maximize_correlation_objective(params).value
+    assert abs(correlation_objective(params, report.argmax_axis) - maximum) <= 1e-15
+
+
 @pytest.mark.parametrize("params", [
     BlochParams([0.9, 0, 0], [0, 0, 0], [0.5, 0.5, 0.5]),  # once a DomainError
     BlochParams([0, 0, 0], [0, 0, 0], [1, 1, 1]),  # once C = 1

@@ -412,6 +412,33 @@ def test_kernel_skips_the_clamp_only_where_nothing_is_clamped():
         np.testing.assert_array_equal(_correlation_kernel(r, s, c, z), _combine(_xlog2(t)))
 
 
+def _xlog2_always_clamped(t):
+    """t log2 t with every argument below 1e-12 set to 1, always, and no
+    floor test: the x log x -> 0 limit written out."""
+    kept = np.where(t >= 1e-12, t, 1.0)
+    return np.log2(kept) * kept
+
+
+def test_xlog2_is_the_checked_x_log_x():
+    rng = np.random.default_rng(18)
+    smooth = rng.uniform(1e-12, 2.0, size=(6, 4, 5))
+    smooth[0, 0, :3] = [1e-12, 1.0, 2.0]
+    # arguments the gate admits that count as zero, down to the floor -4e-9
+    low = np.concatenate([smooth[0, 0], [-0.0, 0.0, 1e-12, np.nextafter(1e-12, 0.0),
+                                         1e-300, -1e-10, -1e-9, -3e-9, -4e-9]])
+    for t, clamped in ((smooth, False), (low, True)):
+        work = t.copy()
+        out = _xlog2(work)
+        expected = _xlog2_always_clamped(t)
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+        # clamped in place: the caller's array now holds the arguments used
+        np.testing.assert_array_equal(work, np.where(t >= 1e-12, t, 1.0))
+        assert (work != t).any() == clamped
+    for bad in (-4.0000001e-9, np.nan):
+        with pytest.raises(DomainError, match="log argument"):
+            _xlog2(np.array([0.5, bad, 1e-13]))
+
+
 def test_kernel_value_depends_on_its_axis_only(monkeypatch):
     """Each kernel value is the one its axis gets alone, bit for bit, on
     the search's Fibonacci pass and on a cap; so the value a batched search
