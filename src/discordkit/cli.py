@@ -25,31 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import gamma_sweep
-from .density import BlochParams, build_state, entropic_h, hermitian_eigen
-from .discord import (
-    METHOD_AXIAL_ZERO,
-    METHOD_R0_ISOTROPIC,
-    METHOD_S0_ISOTROPIC,
-    METHOD_S0_ISOTROPIC_C_EQ_R,
-    METHOD_S0_PLANAR,
-    METHOD_WERNER,
-    _analytic_dispatch,
-    _reports,
-    reduced_correlation_objective,
-    theta_range,
-)
+from .density import BlochParams, build_state, hermitian_eigen
+from .discord import _FAMILIES, _family, _reports
 from .errors import (
     DiscordKitError,
     DomainError,
     FamilyError,
     PhysicalityError,
     RangeError,
-)
-from .sampling import (
-    draw_axial_zero,
-    draw_r0_isotropic,
-    draw_s0_isotropic,
-    draw_s0_planar,
 )
 from .sphereopt import SphereOptConfig
 
@@ -196,31 +179,13 @@ def _cmd_compute(args, out) -> int:
     return EXIT_OK
 
 
-def _curve_rows(params: BlochParams, samples: int):
-    build_state(params)  # gates physicality first
-    method = (_analytic_dispatch(params) or (None,))[0]
-    if method in (METHOD_WERNER, METHOD_S0_ISOTROPIC, METHOD_S0_ISOTROPIC_C_EQ_R):
-        r_norm, cc = params.r_norm, params.c[2]
-        lo, hi = theta_range(r_norm, cc)
-        theta = np.linspace(lo, hi, samples) if lo < hi else np.array([lo])
-        return theta, reduced_correlation_objective(theta, r_norm, cc)
-    if method != METHOD_S0_PLANAR:
-        raise FamilyError("curve needs s = 0 and a uniform or in-plane correlation diagonal")
-    # in-plane family: scan the extremal path z = (t rhat_12, 0)
-    r, cc = params.r, params.c[0]
-    rho12 = float(np.hypot(r[0], r[1]))
-    t = np.linspace(-1.0, 1.0, samples)
-    theta = (rho12 + cc * t) ** 2 + r[2] ** 2
-    other = (rho12 - cc * t) ** 2 + r[2] ** 2
-    h = entropic_h(0.0, np.sqrt(np.stack([theta, other])))
-    g = 0.5 * h[0] + 0.5 * h[1]
-    order = np.argsort(theta, kind="stable")
-    return theta[order], g[order]
-
-
 def _cmd_curve(args, out) -> int:
     params, _ = _state_from_args(args)
-    theta, g = _curve_rows(params, args.samples)
+    build_state(params)  # gates physicality first
+    family = _family(params)
+    if family is None or family.curve is None:
+        raise FamilyError("curve needs s = 0 and a uniform or in-plane correlation diagonal")
+    theta, g = family.curve(params, args.samples)
     out.write("theta,G\n")
     for th, gv in zip(theta, g):
         out.write(f"{_fmt(th)},{_fmt(gv)}\n")
@@ -254,12 +219,7 @@ def _cmd_spectrum(args, out) -> int:
 
 
 # Seeded sampler of each closed-form family that verify checks.
-_VERIFY_SAMPLERS = {
-    METHOD_S0_ISOTROPIC: draw_s0_isotropic,
-    METHOD_R0_ISOTROPIC: draw_r0_isotropic,
-    METHOD_AXIAL_ZERO: draw_axial_zero,
-    METHOD_S0_PLANAR: draw_s0_planar,
-}
+_VERIFY_SAMPLERS = {row.method: row.sampler for row in _FAMILIES if row.sampler}
 
 
 def _verify_family(name: str, rng, draws: int, cfg) -> float:

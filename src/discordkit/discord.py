@@ -10,13 +10,14 @@ oracle for the closed forms.  Closed forms cover four parameter families:
 * ``c1 = c2 = 0`` with one vanishing marginal (zero discord when s = 0),
 * ``s = 0`` with in-plane correlations ``c1 = c2``, ``c3 = 0``.
 
-Every report carries a ``method`` tag naming the path that produced it.
+Only ``_FAMILIES`` (one row per closed-form method) and :func:`_family` name
+them.  Every report carries a ``method`` tag naming the path that produced it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .density import (
 )
 from .errors import DomainError, FamilyError
 from .measurement import _correlation_kernel, _correlation_model
+from .sampling import draw_axial_zero, draw_r0_isotropic, draw_s0_isotropic, draw_s0_planar
 from .sphereopt import OptResult, SphereOptConfig, maximize_batch
 
 METHOD_NUMERIC = "numeric"
@@ -108,6 +110,28 @@ def reduced_correlation_objective(theta, r_norm: float, c: float):
     h = entropic_h(0.0, np.sqrt(np.stack([theta_arr, total - theta_arr])))
     g = 0.5 * h[0] + 0.5 * h[1]
     return float(g) if np.isscalar(theta) else g
+
+
+def _isotropic_curve(params: BlochParams, samples: int):
+    """G over :func:`theta_range` for the s = 0, uniform-c family."""
+    r_norm, c = params.r_norm, params.c[2]
+    lo, hi = theta_range(r_norm, c)
+    theta = np.linspace(lo, hi, samples) if lo < hi else np.array([lo])
+    return theta, reduced_correlation_objective(theta, r_norm, c)
+
+
+def _planar_curve(params: BlochParams, samples: int):
+    """G of the in-plane family along its extremal path z = (t rhat_12, 0),
+    t in [-1, 1], sorted by theta = |r + c z|^2."""
+    r, c = params.r, params.c[0]
+    rho12 = float(np.hypot(r[0], r[1]))
+    t = np.linspace(-1.0, 1.0, samples)
+    theta = (rho12 + c * t) ** 2 + r[2] ** 2
+    other = (rho12 - c * t) ** 2 + r[2] ** 2
+    h = entropic_h(0.0, np.sqrt(np.stack([theta, other])))
+    g = 0.5 * h[0] + 0.5 * h[1]
+    order = np.argsort(theta, kind="stable")
+    return theta[order], g[order]
 
 
 def _check_eigenvalues(lam, label: str) -> None:
@@ -254,22 +278,17 @@ def mutual_information(params: BlochParams) -> float:
     return float(_mutual_informations([params], [_gated_state(params)[1]])[0][0])
 
 
-def _discord_cfg(cfg: SphereOptConfig | None) -> SphereOptConfig:
-    # Correlation objectives are antipodally symmetric, so the hemisphere
-    # restriction is exact here.
-    if cfg is None:
-        cfg = SphereOptConfig()
-    return replace(cfg, hemisphere=True)
-
-
 def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     """Sphere maxima of the correlation objectives of ``states``: one
     Newton-polished :func:`maximize_batch` over all of them."""
     r, s, c = (np.stack([getattr(p, k) for p in states]) for k in "rsc")
+    # Correlation objectives are antipodally symmetric, so the hemisphere
+    # restriction is exact here.
+    cfg = replace(SphereOptConfig() if cfg is None else cfg, hemisphere=True)
     return maximize_batch(
         lambda z, rows=slice(None): _correlation_kernel(r[rows], s[rows], c[rows], z),
         len(states),
-        _discord_cfg(cfg),
+        cfg,
         lambda z, basis: _correlation_model(r, s, c, z, basis),
     )
 
@@ -309,8 +328,8 @@ def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[Discord
     """The reports of ``states``: the one route from a state to its report.
 
     Every state passes the PSD gate before anything else runs.  With
-    ``closed_forms`` set, :func:`_analytic_dispatch` serves the states of
-    its families, and C = I - Q; the other states (all of them otherwise)
+    ``closed_forms`` set, :func:`_closed_form` serves the states of its
+    families, and C = I - Q; the other states (all of them otherwise)
     go through one :func:`_correlation_search`, and C = -H_0(|r|) +
     max_z G(z).  So does a gated state whose closed form raises
     ``DomainError``: within an ulp of the eigenvalue floor, the closed
@@ -347,44 +366,69 @@ def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[Discord
     return reports
 
 
+class _Family(NamedTuple):
+    """One closed-form family, the row of its method tag."""
+
+    method: str
+    solve: Callable  # params -> (discord, analytic axis)
+    sampler: Callable | None  # the seeded draw verify checks; None for a slice
+    curve: Callable | None  # (params, samples) -> (theta, G) for ``curve``
+
+
+def _in_plane_axis(r) -> np.ndarray:
+    """The in-plane family's analytic axis: r's in-plane direction, else e_x."""
+    in_plane = np.array([r[0], r[1], 0.0])
+    rho12 = float(np.linalg.norm(in_plane))
+    return in_plane / rho12 if rho12 > _FAMILY_TOL else np.array([1.0, 0.0, 0.0])
+
+
+# One row per closed-form method, in verify's order.  Each solve looks its
+# closed form up when called, so a patched module name reaches every route.
+_FAMILIES = (
+    _Family(METHOD_S0_ISOTROPIC, sampler=draw_s0_isotropic, curve=_isotropic_curve,
+            solve=lambda p: (discord_s0_isotropic(n := p.r_norm, p.c[2]), p.r / n)),
+    _Family(METHOD_WERNER, sampler=None, curve=_isotropic_curve,
+            solve=lambda p: (werner_discord(p.c[2]), np.array([0.0, 0.0, 1.0]))),
+    _Family(METHOD_S0_ISOTROPIC_C_EQ_R, sampler=None, curve=_isotropic_curve,
+            solve=lambda p: (discord_s0_isotropic_c_eq_r(p.c[2]), p.r / p.r_norm)),
+    _Family(METHOD_R0_ISOTROPIC, sampler=draw_r0_isotropic, curve=None,
+            solve=lambda p: (discord_r0_isotropic(n := p.s_norm, p.c[2]), p.s / n)),
+    _Family(METHOD_AXIAL_ZERO, sampler=draw_axial_zero, curve=None,
+            solve=lambda p: (0.0, np.array([0.0, 0.0, 1.0]))),
+    _Family(METHOD_S0_PLANAR, sampler=draw_s0_planar, curve=_planar_curve,
+            solve=lambda p: (discord_s0_planar(p.r, p.c[0]), _in_plane_axis(p.r))),
+)
+_BY_METHOD = {row.method: row for row in _FAMILIES}
+
+
+def _family(params: BlochParams) -> _Family | None:
+    """The row of the closed-form family of ``params``, or None, from the
+    predicates alone: each norm is computed at most once and no closed form runs."""
+    c, s_norm = params.c, params.s_norm
+    if abs(c[0] - c[1]) <= _FAMILY_TOL and abs(c[1] - c[2]) <= _FAMILY_TOL:
+        r_norm = params.r_norm
+        if s_norm > _FAMILY_TOL:
+            return _BY_METHOD[METHOD_R0_ISOTROPIC] if r_norm <= _FAMILY_TOL else None
+        if r_norm <= _FAMILY_TOL:
+            return _BY_METHOD[METHOD_WERNER]
+        if abs(c[2] - r_norm) <= _FAMILY_TOL and c[2] > _FAMILY_TOL:
+            return _BY_METHOD[METHOD_S0_ISOTROPIC_C_EQ_R]
+        return _BY_METHOD[METHOD_S0_ISOTROPIC]
+    if s_norm <= _FAMILY_TOL and abs(c[0]) <= _FAMILY_TOL and abs(c[1]) <= _FAMILY_TOL:
+        return _BY_METHOD[METHOD_AXIAL_ZERO]
+    if s_norm <= _FAMILY_TOL and abs(c[2]) <= _FAMILY_TOL and abs(c[0] - c[1]) <= _FAMILY_TOL:
+        return _BY_METHOD[METHOD_S0_PLANAR]
+    return None
+
+
 def _closed_form(params: BlochParams):
-    """:func:`_analytic_dispatch` on a gated state, None where its closed
-    form raises ``DomainError``."""
+    """(method, discord, analytic axis) of a gated state from its family row;
+    None outside the families or where the closed form raises DomainError."""
+    family = _family(params)
     try:
-        return _analytic_dispatch(params)
+        return None if family is None else (family.method, *family.solve(params))
     except DomainError:
         return None
-
-
-def _analytic_dispatch(params: BlochParams):
-    """Pick (method, discord value, analytic maximizer) when a closed form
-    applies, else None."""
-    r, s, c = params.r, params.s, params.c
-    r_norm, s_norm = params.r_norm, params.s_norm
-    iso = abs(c[0] - c[1]) <= _FAMILY_TOL and abs(c[1] - c[2]) <= _FAMILY_TOL
-    if s_norm <= _FAMILY_TOL and iso:
-        if r_norm <= _FAMILY_TOL:
-            return METHOD_WERNER, werner_discord(c[2]), np.array([0.0, 0.0, 1.0])
-        axis = r / r_norm
-        if abs(c[2] - r_norm) <= _FAMILY_TOL and c[2] > _FAMILY_TOL:
-            return (
-                METHOD_S0_ISOTROPIC_C_EQ_R,
-                discord_s0_isotropic_c_eq_r(c[2]),
-                axis,
-            )
-        return METHOD_S0_ISOTROPIC, discord_s0_isotropic(r_norm, c[2]), axis
-    if r_norm <= _FAMILY_TOL and iso:
-        return METHOD_R0_ISOTROPIC, discord_r0_isotropic(s_norm, c[2]), s / s_norm
-    axial = abs(c[0]) <= _FAMILY_TOL and abs(c[1]) <= _FAMILY_TOL
-    if s_norm <= _FAMILY_TOL and axial:
-        return METHOD_AXIAL_ZERO, 0.0, np.array([0.0, 0.0, 1.0])
-    planar = abs(c[2]) <= _FAMILY_TOL and abs(c[0] - c[1]) <= _FAMILY_TOL
-    if s_norm <= _FAMILY_TOL and planar:
-        in_plane = np.array([r[0], r[1], 0.0])
-        rho12 = float(np.linalg.norm(in_plane))
-        axis = in_plane / rho12 if rho12 > _FAMILY_TOL else np.array([1.0, 0.0, 0.0])
-        return METHOD_S0_PLANAR, discord_s0_planar(r, c[0]), axis
-    return None
 
 
 def discord_auto(

@@ -50,7 +50,8 @@ from discordkit import (
     METHOD_S0_PLANAR,
     METHOD_WERNER,
 )
-from discordkit import density
+import discordkit
+from discordkit import cli, density
 from discordkit import discord as discord_module
 from discordkit import measurement as measurement_module
 from discordkit.discord import C_EQ_R_MAX
@@ -523,20 +524,24 @@ def test_numeric_against_independent_reference():
         )
 
 
+# One state per dispatch branch, and one that no closed form serves.
+DISPATCH_EXAMPLES = [
+    (BlochParams([0, 0, 0], [0, 0, 0], [0.25, 0.25, 0.25]), METHOD_WERNER),
+    (BlochParams([0, 0, 0.3], [0, 0, 0], [0.2, 0.2, 0.2]), METHOD_S0_ISOTROPIC),
+    (
+        BlochParams([0, 0, 0.2], [0, 0, 0], [0.2, 0.2, 0.2]),
+        METHOD_S0_ISOTROPIC_C_EQ_R,
+    ),
+    (BlochParams([0, 0, 0], [0, 0, 0.3], [0.2, 0.2, 0.2]), METHOD_R0_ISOTROPIC),
+    (BlochParams([0.3, 0, 0.2], [0, 0, 0], [0, 0, 0.4]), METHOD_AXIAL_ZERO),
+    (BlochParams([0.1, 0.2, 0], [0, 0, 0], [0.3, 0.3, 0]), METHOD_S0_PLANAR),
+    (BlochParams([0, 0, 0], [0.1, 0.2, 0.2], [0.1, 0.2, 0.3]), METHOD_NUMERIC),
+]
+
+
 @pytest.mark.parametrize(
     "params, method",
-    [
-        (BlochParams([0, 0, 0], [0, 0, 0], [0.25, 0.25, 0.25]), METHOD_WERNER),
-        (BlochParams([0, 0, 0.3], [0, 0, 0], [0.2, 0.2, 0.2]), METHOD_S0_ISOTROPIC),
-        (
-            BlochParams([0, 0, 0.2], [0, 0, 0], [0.2, 0.2, 0.2]),
-            METHOD_S0_ISOTROPIC_C_EQ_R,
-        ),
-        (BlochParams([0, 0, 0], [0, 0, 0.3], [0.2, 0.2, 0.2]), METHOD_R0_ISOTROPIC),
-        (BlochParams([0.3, 0, 0.2], [0, 0, 0], [0, 0, 0.4]), METHOD_AXIAL_ZERO),
-        (BlochParams([0.1, 0.2, 0], [0, 0, 0], [0.3, 0.3, 0]), METHOD_S0_PLANAR),
-        (BlochParams([0, 0, 0], [0.1, 0.2, 0.2], [0.1, 0.2, 0.3]), METHOD_NUMERIC),
-    ]
+    DISPATCH_EXAMPLES
     # Just past the Werner and c = |r| PSD bounds: the smallest eigenvalue
     # stays above -1e-9, so the gate accepts these states.
     + [
@@ -558,6 +563,43 @@ def test_auto_dispatch_tags_and_values(params, method):
     rep = discord_auto(params)
     assert rep.method == method
     assert rep.discord == pytest.approx(discord_numeric(params).discord, abs=1e-6)
+
+
+def test_family_membership_runs_no_closed_form(monkeypatch, capsys):
+    """The family table is the one place the closed-form families are
+    named, and membership is decided from the predicates alone: with every
+    closed form patched to raise, the classifier still picks each dispatch
+    example's row and ``curve`` still prints the same CSV."""
+    curve_states = [
+        ["--r=0,0,0", "--s=0,0,0", "--c=0.25,0.25,0.25"],  # Werner
+        ["--r=0,0,0.3", "--s=0,0,0", "--c=0.2,0.2,0.2"],  # s0-isotropic
+        ["--r=0,0,0.2", "--s=0,0,0", "--c=0.2,0.2,0.2"],  # c = |r|
+        ["--r=0.1,0.2,0.1", "--s=0,0,0", "--c=0.3,0.3,0"],  # in-plane
+    ]
+
+    def curve_csv(flags):
+        assert cli.main(["curve", *flags]) == 0
+        return capsys.readouterr().out
+
+    unpatched = [curve_csv(flags) for flags in curve_states]
+
+    def closed_form(*args):
+        raise AssertionError("a closed form ran")
+
+    for name in ("werner_discord", "discord_s0_isotropic", "discord_s0_isotropic_c_eq_r",
+                 "discord_r0_isotropic", "discord_s0_planar"):
+        monkeypatch.setattr(discord_module, name, closed_form)
+    assert [curve_csv(flags) for flags in curve_states] == unpatched
+    for params, method in DISPATCH_EXAMPLES:
+        row = discord_module._family(params)
+        assert (METHOD_NUMERIC if row is None else row.method) == method
+
+    methods = {getattr(discordkit, name) for name in discordkit.__all__
+               if name.startswith("METHOD_")} - {METHOD_NUMERIC}
+    assert sorted(row.method for row in discord_module._FAMILIES) == sorted(methods)
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    families = next(a for a in commands.choices["verify"]._actions if a.dest == "families")
+    assert families.choices == ("s0-isotropic", "r0-isotropic", "axial-zero", "s0-planar")
 
 
 _SMALL_CFG = SphereOptConfig(grid_points=50, refine_rounds=2, local_points=8)
