@@ -138,14 +138,9 @@ def planar_damped_gap(r, c: float, gamma: float) -> float:
     ``c1 = c2 = c``.
 
     Damping keeps the family (c scales by 1-gamma, the transverse r
-    components by sqrt(1-gamma)), so the gap is the difference of the two
-    closed forms.  Expanded, the damped half uses
-
-        m+- = sqrt(2c^2(1-g)^2 + (r1^2+r2^2)(1-g) + r3^2 +- 2 w),
-        w   = sqrt(c^4 (1-g)^4 + c^2 (r1^2+r2^2) (1-g)^3)
-
-    and the damped analog of the b terms with c -> (1-g)c and transverse
-    r components scaled by sqrt(1-g).
+    components by sqrt(1-gamma)), so the gap is the difference of two
+    :func:`discord_s0_planar` values: at (r, c) and at
+    ((f r1, f r2, r3), (1-gamma) c) with f = sqrt(1-gamma).
     """
     g = PhaseDamping(gamma).gamma
     r = np.asarray(r, dtype=float)

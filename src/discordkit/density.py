@@ -14,12 +14,13 @@ the eigenvalues-only needs (the gate, ``check_density_matrix``,
 ``von_neumann_entropy``) from one ``eigvalsh`` call, full decompositions
 (:func:`hermitian_eigen`) from ``eigh`` with a deterministic phase and
 order convention.  Matrices from outside the family pass one shared gate
-for finite entries and Hermiticity first.  All logarithms are base 2.
+first: nonempty, square, finite and Hermitian.  All logarithms are base 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ _LOG_ARG_FLOOR = 4.0 * EIGENVALUE_FLOOR
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
+    arr = np.array(v, dtype=float).reshape(-1)  # a copy, so the cached norms hold
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -71,11 +72,11 @@ class BlochParams:
         object.__setattr__(self, "s", _as_vec3(self.s, "s"))
         object.__setattr__(self, "c", _as_vec3(self.c, "c"))
 
-    @property
+    @cached_property
     def r_norm(self) -> float:
         return float(np.linalg.norm(self.r))
 
-    @property
+    @cached_property
     def s_norm(self) -> float:
         return float(np.linalg.norm(self.s))
 
@@ -169,14 +170,8 @@ def _check_floor(smallest, floor: float, error: type[Exception], what: str) -> N
 def _eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of an exactly Hermitian ``rho``, by LAPACK;
     the one spectrum route for every eigenvalues-only need.  Matrices from
-    outside the family come through :func:`_hermitian_part` first."""
+    outside the family come through :func:`_hermitian` first."""
     return np.linalg.eigvalsh(rho)[::-1]
-
-
-def _hermitian_part(rho) -> np.ndarray:
-    """(rho + rho^H)/2, which equals an exactly Hermitian rho bit for bit."""
-    rho = np.asarray(rho, dtype=complex)
-    return 0.5 * (rho + rho.conj().T)
 
 
 def _isotropic_spectrum(norm: float, c: float) -> np.ndarray:
@@ -237,26 +232,29 @@ def check_density_matrix(rho: np.ndarray) -> None:
     Hermitian part.  Works for 2x2 and 4x4 inputs.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
+    if rho.shape not in ((2, 2), (4, 4)):
         raise PhysicalityError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
-    _finite_hermitian(rho)
+    hermitian = _hermitian(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise PhysicalityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    _check_floor(_eigenvalues(_hermitian_part(rho))[-1], EIGENVALUE_FLOOR,
+    _check_floor(_eigenvalues(hermitian)[-1], EIGENVALUE_FLOOR,
                  PhysicalityError, "smallest eigenvalue")
 
 
-def _finite_hermitian(rho) -> np.ndarray:
-    """The input as an array, after the gates every spectrum route shares:
-    finite entries, and Hermiticity within 1e-12."""
-    rho = np.asarray(rho)
+def _hermitian(rho) -> np.ndarray:
+    """(rho + rho^H)/2, after the gate every spectrum route shares: a nonempty
+    square matrix with finite entries, Hermitian within 1e-12.  An exactly
+    Hermitian rho comes back bit for bit."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.size == 0:
+        raise PhysicalityError(f"expected a square matrix, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise PhysicalityError("matrix has non-finite entries")
     dev = float(np.max(np.abs(rho - rho.conj().T)))
     if dev > HERMITICITY_TOL:
         raise PhysicalityError(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
-    return rho
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -277,10 +275,10 @@ def hermitian_eigen(rho: np.ndarray) -> Spectrum:
     Raises
     ------
     PhysicalityError
-        If an entry is not finite or the input deviates from Hermitian by
-        more than 1e-12.
+        If the input is not a nonempty square matrix, an entry is not finite
+        or the input deviates from Hermitian by more than 1e-12.
     """
-    lam, vecs = np.linalg.eigh(_hermitian_part(_finite_hermitian(rho)))
+    lam, vecs = np.linalg.eigh(_hermitian(rho))
     cols = [_fix_phase(vecs[:, i].copy()) for i in range(len(lam))]
 
     def sort_key(i: int):
@@ -353,10 +351,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Hermitian part of rho.
 
     Eigenvalues in [-1e-9, 0) are treated as rounding noise and clamped
-    to zero; anything lower, a non-finite entry or a deviation from
-    Hermitian above 1e-12 raises ``PhysicalityError``.
+    to zero; anything lower, an empty or non-square input, a non-finite entry
+    or a deviation from Hermitian above 1e-12 raises ``PhysicalityError``.
     """
-    lam = _eigenvalues(_hermitian_part(_finite_hermitian(rho)))
+    lam = _eigenvalues(_hermitian(rho))
     _check_floor(lam[-1], EIGENVALUE_FLOOR, PhysicalityError, "eigenvalue")
     return float(-np.sum(_xlog2(lam)))
 

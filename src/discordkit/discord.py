@@ -145,17 +145,12 @@ def discord_s0_isotropic(r_norm: float, c: float) -> float:
         Q = H_c(|r|)/2 + H_{-c}(sqrt(4c^2+|r|^2))/2
             - [H_0(|r|+|c|) + H_0(||r|-|c||)]/2
 
-    Delegates to :func:`werner_discord` at ``|r| = 0`` and to
-    :func:`discord_s0_isotropic_c_eq_r` at ``c = |r| != 0``; all three
-    expressions agree where they overlap.
+    Agrees with :func:`werner_discord` at ``|r| = 0`` and with
+    :func:`discord_s0_isotropic_c_eq_r` at ``c = |r|``, to an ulp or two.
     """
     if not r_norm >= 0:
         raise ValueError("r_norm must be nonnegative")
     _check_eigenvalues(_isotropic_spectrum(r_norm, c), "s0-isotropic")
-    if r_norm == 0.0:
-        return werner_discord(c)
-    if c == r_norm:
-        return discord_s0_isotropic_c_eq_r(c)
     big = np.sqrt(4 * c**2 + r_norm**2)
     h = entropic_h(
         np.array([c, -c, 0.0, 0.0]),
@@ -218,11 +213,13 @@ def discord_axial(params: BlochParams, cfg: SphereOptConfig | None = None) -> fl
 
     Requires ``|s| = 0`` or ``|r| = 0``.  With ``s = 0`` the state is
     quantum-classical and the discord is exactly zero.  With ``r = 0`` no
-    closed form is known to hold, so the value is the numeric one.
+    closed form is known to hold, so the value is the numeric one.  The
+    ``FamilyError`` checks run first, then the PSD gate (``PhysicalityError``).
     """
     if abs(params.c[0]) > _FAMILY_TOL or abs(params.c[1]) > _FAMILY_TOL:
         raise FamilyError("axial family requires c1 = c2 = 0")
     if params.s_norm <= _FAMILY_TOL:
+        _gated_state(params)
         return 0.0
     if params.r_norm > _FAMILY_TOL:
         raise FamilyError("axial family requires |s| = 0 or |r| = 0")
@@ -296,7 +293,9 @@ def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
 def maximize_correlation_objective(
     params: BlochParams, cfg: SphereOptConfig | None = None
 ) -> OptResult:
-    """Sphere maximum of the correlation objective."""
+    """Sphere maximum of the correlation objective; an unphysical state
+    raises ``PhysicalityError`` from the PSD gate."""
+    _gated_state(params)
     return _correlation_search([params], cfg)[0]
 
 
@@ -386,13 +385,13 @@ def _in_plane_axis(r) -> np.ndarray:
 # closed form up when called, so a patched module name reaches every route.
 _FAMILIES = (
     _Family(METHOD_S0_ISOTROPIC, sampler=draw_s0_isotropic, curve=_isotropic_curve,
-            solve=lambda p: (discord_s0_isotropic(n := p.r_norm, p.c[2]), p.r / n)),
+            solve=lambda p: (discord_s0_isotropic(p.r_norm, p.c[2]), p.r / p.r_norm)),
     _Family(METHOD_WERNER, sampler=None, curve=_isotropic_curve,
             solve=lambda p: (werner_discord(p.c[2]), np.array([0.0, 0.0, 1.0]))),
     _Family(METHOD_S0_ISOTROPIC_C_EQ_R, sampler=None, curve=_isotropic_curve,
             solve=lambda p: (discord_s0_isotropic_c_eq_r(p.c[2]), p.r / p.r_norm)),
     _Family(METHOD_R0_ISOTROPIC, sampler=draw_r0_isotropic, curve=None,
-            solve=lambda p: (discord_r0_isotropic(n := p.s_norm, p.c[2]), p.s / n)),
+            solve=lambda p: (discord_r0_isotropic(p.s_norm, p.c[2]), p.s / p.s_norm)),
     _Family(METHOD_AXIAL_ZERO, sampler=draw_axial_zero, curve=None,
             solve=lambda p: (0.0, np.array([0.0, 0.0, 1.0]))),
     _Family(METHOD_S0_PLANAR, sampler=draw_s0_planar, curve=_planar_curve,
@@ -403,10 +402,9 @@ _BY_METHOD = {row.method: row for row in _FAMILIES}
 
 def _family(params: BlochParams) -> _Family | None:
     """The row of the closed-form family of ``params``, or None, from the
-    predicates alone: each norm is computed at most once and no closed form runs."""
-    c, s_norm = params.c, params.s_norm
+    predicates alone: no closed form runs."""
+    c, r_norm, s_norm = params.c, params.r_norm, params.s_norm
     if abs(c[0] - c[1]) <= _FAMILY_TOL and abs(c[1] - c[2]) <= _FAMILY_TOL:
-        r_norm = params.r_norm
         if s_norm > _FAMILY_TOL:
             return _BY_METHOD[METHOD_R0_ISOTROPIC] if r_norm <= _FAMILY_TOL else None
         if r_norm <= _FAMILY_TOL:

@@ -149,7 +149,8 @@ def _tangent_bases(u: np.ndarray) -> np.ndarray:
     """Orthonormal tangent pairs e1, e2 at the unit rows of ``u``, as (n, 3, 2) columns."""
     e1 = _cross(u, _EYE.take(np.argmin(np.abs(u), axis=1), axis=0))
     # (1, 3) @ (3, 1) runs the same BLAS dot as norm() of one 3-vector, so the
-    # batched basis matches the single-axis one bit for bit
+    # batched basis matches the serial one of tests/_oracles.py::_serial_cap_grid
+    # bit for bit
     e1 /= np.sqrt(np.matmul(e1[:, None, :], e1[:, :, None]))[:, 0]
     return np.stack([e1, _cross(u, e1)], axis=2)
 

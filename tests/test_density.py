@@ -76,6 +76,17 @@ def test_build_state_rejects_unphysical():
         build_state(BlochParams([0, 0, 0], [0, 0, 0], [1, 1, 1]))
 
 
+def test_params_own_their_vectors_so_the_cached_norms_hold():
+    # a caller that writes into the arrays it passed cannot change the state,
+    # so a norm cached on first read stays the norm of the state's vector
+    r, s = np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.3, 0.4])
+    params = BlochParams(r, s, [0, 0, 0])
+    assert (params.r_norm, params.s_norm) == (1.0, 0.5)
+    r[:] = s[:] = 0.0
+    assert params.r.tolist() == [0.0, 0.6, 0.8] and params.s.tolist() == [0.0, 0.3, 0.4]
+    assert (params.r_norm, params.s_norm) == (1.0, 0.5)
+
+
 # Derandomized and without an example database: the same examples on
 # every run, and nothing written to disk.
 _GATE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -324,6 +335,20 @@ def test_non_finite_entries_are_unphysical(name, entry, value):
 def test_density_matrix_gate_rejects_shape_and_trace(name, rho, message):
     with pytest.raises(PhysicalityError, match=re.escape(message)):
         _NON_FINITE_GATED[name](rho)
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_GATED))
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0)], ids=["2x3", "vector", "empty"])
+def test_non_square_input_is_unphysical(name, shape):
+    # each route names the shape instead of failing inside numpy
+    rho = np.full(shape, 0.25, dtype=complex)
+    with pytest.raises(PhysicalityError, match=re.escape(f"matrix, got shape {shape}")):
+        _NON_FINITE_GATED[name](rho)
+
+
+def test_hermitian_gate_accepts_three_by_three():
+    assert np.allclose(hermitian_eigen(np.eye(3) / 3).eigenvalues, 1 / 3)
+    assert von_neumann_entropy(np.eye(3) / 3) == pytest.approx(np.log2(3))
 
 
 def test_entropy_rejects_non_hermitian():

@@ -788,6 +788,41 @@ def test_classical_correlation_numeric_gates_physicality(params):
         classical_correlation_numeric(params)
 
 
+# Werner c = 0.34 is past the PSD bound 1/3, yet every 2x2 compression of it
+# is PSD, so the objective's log floor alone would answer it; the axial state
+# has lambda_min -6.8e-2 and sits in the axial-zero family.
+_UNPHYSICAL_WERNER = BlochParams([0, 0, 0], [0, 0, 0], [0.34] * 3)
+_UNPHYSICAL_AXIAL = BlochParams([0.9, 0, 0], [0, 0, 0], [0, 0, 0.9])
+_ANSWERING_ROUTES = {
+    "discord_auto": discord_auto,
+    "discord_numeric": discord_numeric,
+    "discord_numeric_batch": lambda p: discord_numeric_batch([p]),
+    "classical_correlation_numeric": classical_correlation_numeric,
+    "maximize_correlation_objective": maximize_correlation_objective,
+    "mutual_information": mutual_information,
+    "damped_discord": lambda p: damped_discord(p, PhaseDamping(0.0)),
+    "gamma_sweep": lambda p: gamma_sweep(p, [0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ANSWERING_ROUTES))
+@pytest.mark.parametrize("params", [_UNPHYSICAL_WERNER, _UNPHYSICAL_AXIAL],
+                         ids=["werner-0.34", "axial"])
+def test_no_answering_route_accepts_a_state_the_gate_refuses(name, params):
+    with pytest.raises(PhysicalityError):
+        build_state(params)
+    with pytest.raises(PhysicalityError):
+        _ANSWERING_ROUTES[name](params)
+
+
+def test_axial_zero_branch_gates_physicality():
+    with pytest.raises(PhysicalityError):
+        discord_axial(_UNPHYSICAL_AXIAL)
+    # the family checks still come first
+    with pytest.raises(FamilyError):
+        discord_axial(BlochParams([0.9, 0, 0], [0, 0, 0], [0.9, 0, 0.9]))
+
+
 def _forty_round_search(
     params: BlochParams, grid_points: int = 2000
 ) -> tuple[float, np.ndarray, int]:
