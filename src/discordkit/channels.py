@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import BlochParams, check_density_matrix, _xlog2
+from .density import BlochParams, _two_qubit, _xlog2
 from .discord import (
     DiscordReport,
     _check_werner,
@@ -62,9 +62,9 @@ def apply_kraus(rho: np.ndarray, channel: PhaseDamping) -> np.ndarray:
     """Matrix-route damping: sum_{i,j} (K_i (x) K_j) rho (K_i (x) K_j)+.
 
     Trace-preserving and positivity-preserving; the input is gated through
-    the density-matrix checks first.
+    the density-matrix checks first and must be 4x4.
     """
-    check_density_matrix(np.asarray(rho))
+    rho = _two_qubit(rho)
     ops = kraus_pair(channel)
     out = np.zeros((4, 4), dtype=complex)
     for ki in ops:

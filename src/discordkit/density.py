@@ -194,7 +194,8 @@ def _planar_radii(r, c: float) -> tuple[float, float]:
 
 
 def extract_bloch(rho: np.ndarray) -> BlochParams:
-    """Recover (r, s, c) from a physical family state via Pauli expectations.
+    """Recover (r, s, c) from a physical family state via one table of
+    Pauli expectations T_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I.
 
     Raises
     ------
@@ -203,25 +204,18 @@ def extract_bloch(rho: np.ndarray) -> BlochParams:
         i != j, exceeds 1e-9 in magnitude: the state is not in the
         diagonal-correlation family and is rejected rather than projected.
     PhysicalityError
-        Propagated from the density-matrix gates.
+        Propagated from the density-matrix gates, and on a 2x2 input.
     """
-    check_density_matrix(rho)
-    r = np.empty(3)
-    s = np.empty(3)
-    c = np.empty(3)
-    for i in range(3):
-        r[i] = np.trace(rho @ np.kron(PAULI[i], IDENTITY2)).real
-        s[i] = np.trace(rho @ np.kron(IDENTITY2, PAULI[i])).real
-        for j in range(3):
-            t_ij = np.trace(rho @ np.kron(PAULI[i], PAULI[j])).real
-            if i == j:
-                c[i] = t_ij
-            elif abs(t_ij) > 1e-9:
-                raise OutOfFamilyError(
-                    f"off-diagonal correlation tr(rho sigma_{i + 1} (x) sigma_{j + 1})"
-                    f" = {t_ij:.3e} exceeds 1e-9"
-                )
-    return BlochParams(r, s, c)
+    rho = _two_qubit(rho)
+    paulis = (IDENTITY2, *PAULI)
+    table = np.array([[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis])
+    for (i, j), t_ij in np.ndenumerate(table[1:, 1:]):
+        if i != j and abs(t_ij) > 1e-9:
+            raise OutOfFamilyError(
+                f"off-diagonal correlation tr(rho sigma_{i + 1} (x) sigma_{j + 1})"
+                f" = {t_ij:.3e} exceeds 1e-9"
+            )
+    return BlochParams(table[1:, 0], table[0, 1:], np.diag(table[1:, 1:]))
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
@@ -242,6 +236,16 @@ def check_density_matrix(rho: np.ndarray) -> None:
                  PhysicalityError, "smallest eigenvalue")
 
 
+def _two_qubit(rho) -> np.ndarray:
+    """``rho`` as an array, after :func:`check_density_matrix` and a 4x4
+    shape check: the gate of the two-qubit matrix routes."""
+    check_density_matrix(rho)
+    rho = np.asarray(rho)
+    if rho.shape != (4, 4):
+        raise PhysicalityError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    return rho
+
+
 def _hermitian(rho) -> np.ndarray:
     """(rho + rho^H)/2, after the gate every spectrum route shares: a nonempty
     square matrix with finite entries, Hermitian within 1e-12.  An exactly
@@ -255,13 +259,6 @@ def _hermitian(rho) -> np.ndarray:
     if dev > HERMITICITY_TOL:
         raise PhysicalityError(f"Hermiticity deviation {dev:.3e} exceeds {HERMITICITY_TOL}")
     return 0.5 * (rho + rho.conj().T)
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    for comp in vec:
-        if abs(comp) > 1e-12:
-            return vec * (np.conj(comp) / abs(comp))
-    return vec
 
 
 def hermitian_eigen(rho: np.ndarray) -> Spectrum:
@@ -279,18 +276,14 @@ def hermitian_eigen(rho: np.ndarray) -> Spectrum:
         or the input deviates from Hermitian by more than 1e-12.
     """
     lam, vecs = np.linalg.eigh(_hermitian(rho))
-    cols = [_fix_phase(vecs[:, i].copy()) for i in range(len(lam))]
-
-    def sort_key(i: int):
-        flat = []
-        for comp in cols[i]:
-            flat.extend((-comp.real, -comp.imag))
-        return (-lam[i], tuple(flat))
-
-    order = sorted(range(len(lam)), key=sort_key)
-    eigenvalues = np.array([lam[i] for i in order])
-    eigenvectors = np.column_stack([cols[i] for i in order])
-    return Spectrum(eigenvalues, eigenvectors)
+    # Each column is a unit vector, so it has a component above 1e-12.
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(len(lam))]
+    vecs = vecs * (np.conj(lead) / np.abs(lead))
+    # The Spectrum order: -lambda first, then -Re and -Im of each component
+    # in turn (np.lexsort reads its last key first).
+    keys = np.stack([-vecs.real, -vecs.imag], axis=1).reshape(-1, len(lam))
+    order = np.lexsort((*keys[::-1], -lam))
+    return Spectrum(lam[order], vecs[:, order])
 
 
 def partial_trace(rho: np.ndarray, side: str) -> np.ndarray:

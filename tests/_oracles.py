@@ -93,19 +93,14 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def jacobi_eigen(
-    rho: np.ndarray, max_sweeps: int = _MAX_SWEEPS
+def spectrum_convention(
+    lam: np.ndarray, vecs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of the Hermitian part of ``rho`` by
-    cyclic complex Jacobi rotations, in the convention of
-    ``hermitian_eigen``: eigenvalues descending, each eigenvector's first
-    component above 1e-12 in magnitude real and positive, exact ties
-    ordered by the larger eigenvector, compared component by component.
-
-    The rotation order is fixed and the off-diagonal Frobenius target is
-    1e-13; ``RuntimeError`` when the sweep budget runs out first.
-    """
-    lam, vecs = _jacobi_decompose(rho, max_sweeps)
+    """The output convention of ``hermitian_eigen``, one column at a time:
+    each eigenvector's first component above 1e-12 in magnitude made real
+    and positive, eigenvalues descending, exact ties ordered by the larger
+    eigenvector, compared by real then imaginary part, component by
+    component."""
     cols = [_phase_fixed(vecs[:, i].copy()) for i in range(len(lam))]
 
     def sort_key(i: int):
@@ -116,6 +111,19 @@ def jacobi_eigen(
 
     order = sorted(range(len(lam)), key=sort_key)
     return np.array([lam[i] for i in order]), np.column_stack([cols[i] for i in order])
+
+
+def jacobi_eigen(
+    rho: np.ndarray, max_sweeps: int = _MAX_SWEEPS
+) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the Hermitian part of ``rho`` by
+    cyclic complex Jacobi rotations, in the convention of
+    ``hermitian_eigen`` (:func:`spectrum_convention`).
+
+    The rotation order is fixed and the off-diagonal Frobenius target is
+    1e-13; ``RuntimeError`` when the sweep budget runs out first.
+    """
+    return spectrum_convention(*_jacobi_decompose(rho, max_sweeps))
 
 
 def axial_reference_formula(params: BlochParams) -> float:

@@ -605,3 +605,14 @@ def test_readme_command_lines_exit_0(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (line, err)
         assert out
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)
+        out = capsys.readouterr().out
+        if k == 0:
+            assert out.splitlines()[0] == "s0-planar"

@@ -36,7 +36,7 @@ from discordkit.sampling import (
     draw_s0_planar,
 )
 
-from _oracles import eigh_spectrum, jacobi_eigen, kron_state
+from _oracles import eigh_spectrum, jacobi_eigen, kron_state, spectrum_convention
 
 SINGLET = BlochParams([0, 0, 0], [0, 0, 0], [-1, -1, -1])
 # The documented PSD gate, pinned here rather than read from the package.
@@ -271,6 +271,28 @@ def test_hermitian_eigen_determinism():
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
 
+def test_hermitian_eigen_is_eigh_in_the_oracle_convention():
+    # exact ties are where the order rule beyond the eigenvalue decides
+    rng = np.random.default_rng(17)
+    cases = [np.eye(4) / 4, np.diag([1.0, 1.0, 0.0, 0.0]) / 2]
+    cases += [build_state(BlochParams([0, 0, 0], [0, 0, 0], [c, c, c]))
+              for c in np.linspace(-1, 1 / 3, 25)]
+    cases += [build_state(p) for p in draw_general_batch(rng, 200)]
+    for _ in range(100):
+        n = int(rng.integers(1, 6))
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        cases.append(0.5 * (raw + raw.conj().T))
+    ties = 0
+    for h in cases:
+        herm = np.asarray(h, dtype=complex)
+        lam, vecs = spectrum_convention(*np.linalg.eigh(0.5 * (herm + herm.conj().T)))
+        decomp = hermitian_eigen(h)
+        assert np.array_equal(decomp.eigenvalues, lam)
+        assert np.array_equal(decomp.eigenvectors, vecs)
+        ties += bool(np.any(lam[1:] == lam[:-1]))
+    assert ties >= 1
+
+
 def test_jacobi_oracle_budget_exhaustion():
     rho = build_state(BlochParams([0, 0, 0], [0.1, 0.2, 0.2], [0.3, 0.3, 0.3]))
     with pytest.raises(RuntimeError, match="after 0 sweeps"):
@@ -309,6 +331,7 @@ _NON_FINITE_GATED = {
     "apply_kraus": lambda rho: apply_kraus(rho, PhaseDamping(0.3)),
     "von_neumann_entropy": von_neumann_entropy,
     "hermitian_eigen": hermitian_eigen,
+    "extract_bloch": extract_bloch,
 }
 
 
@@ -323,7 +346,7 @@ def test_non_finite_entries_are_unphysical(name, entry, value):
         _NON_FINITE_GATED[name](rho)
 
 
-@pytest.mark.parametrize("name", ["check_density_matrix", "apply_kraus"])
+@pytest.mark.parametrize("name", ["check_density_matrix", "apply_kraus", "extract_bloch"])
 @pytest.mark.parametrize(
     "rho, message",
     [
@@ -344,6 +367,16 @@ def test_non_square_input_is_unphysical(name, shape):
     rho = np.full(shape, 0.25, dtype=complex)
     with pytest.raises(PhysicalityError, match=re.escape(f"matrix, got shape {shape}")):
         _NON_FINITE_GATED[name](rho)
+
+
+def test_two_qubit_routes_reject_a_one_qubit_state():
+    # a valid 2x2 state passes check_density_matrix but is no two-qubit state
+    rho = np.eye(2, dtype=complex) / 2
+    check_density_matrix(rho)
+    message = re.escape("expected a 4x4 matrix, got shape (2, 2)")
+    for route in (extract_bloch, _NON_FINITE_GATED["apply_kraus"]):
+        with pytest.raises(PhysicalityError, match=message):
+            route(rho)
 
 
 def test_hermitian_gate_accepts_three_by_three():
