@@ -137,19 +137,15 @@ def planar_damped_gap(r, c: float, gamma: float) -> float:
     """Damping gap of the in-plane family ``s = 0``, ``c3 = 0``,
     ``c1 = c2 = c``.
 
-    Damping keeps the family (c scales by 1-gamma, the transverse r
-    components by sqrt(1-gamma)), so the gap is the difference of two
-    :func:`discord_s0_planar` values: at (r, c) and at
-    ((f r1, f r2, r3), (1-gamma) c) with f = sqrt(1-gamma).
+    Damping keeps the family, so the gap is the difference of two
+    :func:`discord_s0_planar` values: at (r, c) and at the
+    :func:`damp_bloch` image of the state, the one damping rule
+    :func:`damped_discord` and :func:`gamma_sweep` use.
     """
-    g = PhaseDamping(gamma).gamma
-    r = np.asarray(r, dtype=float)
-    f = np.sqrt(1.0 - g)
+    channel = PhaseDamping(gamma)
     undamped = discord_s0_planar(r, c)
-    damped = discord_s0_planar(
-        np.array([f * r[0], f * r[1], r[2]]), (1.0 - g) * c
-    )
-    return undamped - damped
+    damped = damp_bloch(BlochParams(r, [0.0, 0.0, 0.0], [c, c, 0.0]), channel)
+    return undamped - discord_s0_planar(damped.r, damped.c[0])
 
 
 def gamma_sweep(

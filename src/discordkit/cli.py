@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -105,8 +104,8 @@ def _parse_gamma_grid(text: str) -> np.ndarray:
 
 def _state_from_args(args) -> tuple[BlochParams, str]:
     r = s = c = None
-    label = getattr(args, "label", None)
-    if getattr(args, "state", None):
+    label = args.label
+    if args.state:
         try:
             with open(args.state, encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -131,12 +130,7 @@ def _state_from_args(args) -> tuple[BlochParams, str]:
 
 
 def _cfg_from_args(args) -> SphereOptConfig:
-    cfg = SphereOptConfig()
-    if getattr(args, "grid_points", None) is not None:
-        cfg = replace(cfg, grid_points=args.grid_points)
-    if getattr(args, "refine_rounds", None) is not None:
-        cfg = replace(cfg, refine_rounds=args.refine_rounds)
-    return cfg
+    return SphereOptConfig(grid_points=args.grid_points, refine_rounds=args.refine_rounds)
 
 
 def _report_payload(params: BlochParams, label: str, report) -> dict:
@@ -164,18 +158,12 @@ def _cmd_compute(args, out) -> int:
     params, label = _state_from_args(args)
     cfg = _cfg_from_args(args)
     report = _reports([params], cfg, closed_forms=not args.numeric)[0]
-    payload = _report_payload(params, label, report)
     if args.format == "json":
-        _emit_json(payload, out)
+        _emit_json(_report_payload(params, label, report), out)
     else:
-        fields = ["mutual_info", "classical_corr", "discord", "method"]
-        out.write(",".join(fields) + "\n")
-        out.write(
-            ",".join(
-                _fmt(payload[f]) if f != "method" else payload[f] for f in fields
-            )
-            + "\n"
-        )
+        out.write("mutual_info,classical_corr,discord,method\n")
+        out.write(f"{_fmt(report.mutual_info)},{_fmt(report.classical_corr)},"
+                  f"{_fmt(report.discord)},{report.method}\n")
     return EXIT_OK
 
 
@@ -209,9 +197,8 @@ def _cmd_spectrum(args, out) -> int:
         "label": label,
         "eigenvalues": list(decomp.eigenvalues),
         "eigenvectors": [
-            {"re": [v.real for v in decomp.eigenvectors[:, k]],
-             "im": [v.imag for v in decomp.eigenvectors[:, k]]}
-            for k in range(4)
+            {"re": [x.real for x in v], "im": [x.imag for x in v]}
+            for v in decomp.eigenvectors.T
         ],
     }
     _emit_json(payload, out)
@@ -260,12 +247,14 @@ def _add_state_flags(sub) -> None:
 
 
 def _add_opt_flags(sub) -> None:
-    sub.add_argument("--grid-points", type=_positive_int, default=None,
-                     help="points of the first Fibonacci pass (default 2000)")
-    sub.add_argument("--refine-rounds", type=_positive_int, default=None,
-                     help="cap on the plain cap rounds of the sphere search (default 40); "
-                     "the numeric discord runs them only for a state whose maximum "
-                     "its Newton polish cannot certify")
+    sub.add_argument("--grid-points", type=_positive_int,
+                     default=SphereOptConfig.grid_points,
+                     help="points of the first Fibonacci pass (default %(default)s)")
+    sub.add_argument("--refine-rounds", type=_positive_int,
+                     default=SphereOptConfig.refine_rounds,
+                     help="cap on the plain cap rounds of the sphere search (default "
+                     "%(default)s); the numeric discord runs them only for a state whose "
+                     "maximum its Newton polish cannot certify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_compute = subs.add_parser("compute", help="discord report for one state")
+    p_compute.set_defaults(run=_cmd_compute)
     _add_state_flags(p_compute)
     _add_opt_flags(p_compute)
     p_compute.add_argument("--format", choices=("json", "csv"), default="json")
@@ -285,10 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_curve = subs.add_parser("curve", help="correlation-objective curve as CSV")
+    p_curve.set_defaults(run=_cmd_curve)
     _add_state_flags(p_curve)
     p_curve.add_argument("--samples", type=_positive_int, default=100)
 
     p_damp = subs.add_parser("damp", help="damped discord over a gamma grid as CSV")
+    p_damp.set_defaults(run=_cmd_damp)
     _add_state_flags(p_damp)
     _add_opt_flags(p_damp)
     p_damp.add_argument(
@@ -296,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = subs.add_parser("verify", help="closed form vs numeric oracle")
+    p_verify.set_defaults(run=_cmd_verify)
     _add_opt_flags(p_verify)
     p_verify.add_argument(
         "--families", nargs="*", choices=tuple(_VERIFY_SAMPLERS), default=None
@@ -306,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=1e-6)
 
     p_spectrum = subs.add_parser("spectrum", help="eigenvalues and eigenvectors as JSON")
+    p_spectrum.set_defaults(run=_cmd_spectrum)
     _add_state_flags(p_spectrum)
 
     return parser
@@ -318,25 +312,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_HANDLERS = {
-    "compute": _cmd_compute,
-    "curve": _cmd_curve,
-    "damp": _cmd_damp,
-    "verify": _cmd_verify,
-    "spectrum": _cmd_spectrum,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        return args.run(args, sys.stdout)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _HANDLERS[args.command](args, sys.stdout)
     except PhysicalityError as exc:
         print(f"error: unphysical state: {exc}", file=sys.stderr)
         return EXIT_UNPHYSICAL

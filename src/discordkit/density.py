@@ -293,7 +293,10 @@ def partial_trace(rho: np.ndarray, side: str) -> np.ndarray:
     returns rho^b.  For a family state these are (I + r.sigma)/2 and
     (I + s.sigma)/2.
     """
-    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise PhysicalityError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    rho = rho.reshape(2, 2, 2, 2)
     if side == "a":
         return np.einsum("ikjk->ij", rho)
     if side == "b":
@@ -303,7 +306,7 @@ def partial_trace(rho: np.ndarray, side: str) -> np.ndarray:
 
 def qubit_state(v) -> np.ndarray:
     """Single-qubit state (I + v.sigma)/2 for a Bloch vector v."""
-    v = np.asarray(v, dtype=float)
+    v = _as_vec3(v, "v")
     rho = IDENTITY2.copy()
     for i in range(3):
         rho += v[i] * PAULI[i]
@@ -313,6 +316,8 @@ def qubit_state(v) -> np.ndarray:
 def bloch_vector(rho2: np.ndarray) -> np.ndarray:
     """Bloch vector of a 2x2 state via Pauli expectations."""
     rho2 = np.asarray(rho2, dtype=complex)
+    if rho2.shape != (2, 2):
+        raise PhysicalityError(f"expected a 2x2 matrix, got shape {rho2.shape}")
     return np.array([np.trace(rho2 @ sig).real for sig in PAULI])
 
 

@@ -80,6 +80,8 @@ def theta_range(r_norm: float, c: float) -> ThetaInterval:
     [(|r|-|c|)^2, (|r|+|c|)^2]."""
     if not r_norm >= 0:
         raise ValueError("r_norm must be nonnegative")
+    if not np.isfinite(c):
+        raise ValueError("c must be finite")
     return ThetaInterval((r_norm - abs(c)) ** 2, (r_norm + abs(c)) ** 2)
 
 

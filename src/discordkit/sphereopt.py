@@ -19,6 +19,7 @@ result is bit-identical to that of a search run alone;
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +44,12 @@ _VALUE_SLACK = 1e-15
 _AXIS_BUDGET = 8192
 
 
+def _check_count(name: str, n) -> None:
+    """A point or round count is an integer of at least 1; numpy integers pass."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SphereOptConfig:
     """Search configuration.
@@ -60,14 +67,11 @@ class SphereOptConfig:
     hemisphere: bool = False
 
     def __post_init__(self):
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be positive")
-        if self.refine_rounds < 1:
-            raise ValueError("refine_rounds must be positive")
+        _check_count("grid_points", self.grid_points)
+        _check_count("refine_rounds", self.refine_rounds)
         if not 0.0 < self.shrink_factor < 1.0:
             raise ValueError("shrink_factor must lie in (0, 1)")
-        if self.local_points < 1:
-            raise ValueError("local_points must be positive")
+        _check_count("local_points", self.local_points)
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,7 @@ def fibonacci_grid(n: int, full_sphere: bool = False) -> np.ndarray:
     By default the points cover the hemisphere z3 >= 0; with
     ``full_sphere=True`` they cover the whole sphere.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count("n", n)
     k = np.arange(n) + 0.5
     if full_sphere:
         z3 = 1.0 - 2.0 * k / n

@@ -10,6 +10,7 @@ from discordkit import (
     BlochParams,
     DiscordReport,
     DomainError,
+    METHOD_S0_PLANAR,
     PhaseDamping,
     RangeError,
     SphereOptConfig,
@@ -18,6 +19,7 @@ from discordkit import (
     damp_bloch,
     damped_discord,
     damped_mutual_information,
+    discord_auto,
     discord_numeric,
     fibonacci_grid,
     gamma_sweep,
@@ -255,6 +257,22 @@ def test_planar_gap_matches_numeric_difference():
             - discord_numeric(damp_bloch(params, PhaseDamping(gamma))).discord
         )
         assert closed == pytest.approx(numeric, abs=1e-6)
+
+
+def test_planar_gap_is_the_difference_of_the_served_discords():
+    # the gap damps through damp_bloch, so it equals the difference of the
+    # s0-planar values discord_auto serves for the state and its damped image
+    rng = np.random.default_rng(0)
+    compared = 0
+    for params in [draw_s0_planar(rng) for _ in range(300)]:
+        undamped = discord_auto(params)
+        for gamma in (0.0, 0.1, 0.2, 0.5, 0.7, 0.9, 1.0):
+            damped = discord_auto(damp_bloch(params, PhaseDamping(gamma)))
+            if undamped.method == damped.method == METHOD_S0_PLANAR:
+                compared += 1
+                gap = planar_damped_gap(params.r, params.c[0], gamma)
+                assert gap == undamped.discord - damped.discord, (params, gamma)
+    assert compared == 1800
 
 
 def test_gamma_sweep_single_point(ref_state_b):

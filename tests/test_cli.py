@@ -10,6 +10,14 @@ import pytest
 
 from discordkit import (
     BlochParams,
+    DegenerateBranchError,
+    DiscordKitError,
+    DomainError,
+    FamilyError,
+    NormError,
+    OutOfFamilyError,
+    PhysicalityError,
+    RangeError,
     SphereOptConfig,
     cli,
     discord_auto,
@@ -495,6 +503,34 @@ def test_parser_built_once_gives_the_output_of_a_fresh_parser(capsys, monkeypatc
     for argv, (code, out) in zip(calls, cached):
         fresh_code, fresh_out = run_cli(capsys, *argv)[:2]
         assert fresh_code == code and fresh_out.encode() == out.encode()
+
+
+# Exit code and stderr of main for each package error a handler raises.
+_EXIT_LADDER = {
+    PhysicalityError: (1, "error: unphysical state: boom\n"),
+    NormError: (1, "error: boom\n"),
+    DegenerateBranchError: (1, "error: boom\n"),
+    OutOfFamilyError: (1, "error: boom\n"),
+    RangeError: (2, "error: boom\n"),
+    FamilyError: (2, "error: boom\n"),
+    DomainError: (2, "error: boom\n"),
+}
+
+
+@pytest.mark.parametrize("error", DiscordKitError.__subclasses__(), ids=lambda e: e.__name__)
+def test_each_package_error_exits_with_its_code(capsys, monkeypatch, error):
+    """No subcommand raises NormError, DegenerateBranchError or
+    OutOfFamilyError, so a stand-in handler raises each error in turn; a
+    new subclass needs its row in the ladder."""
+    def fail(args, out):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", fail)
+    # handlers are bound when the parser is built
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    code, out, err = run_cli(capsys, "spectrum")
+    assert (code, err) == _EXIT_LADDER[error]
+    assert out == ""
 
 
 def test_spectrum_command(capsys):

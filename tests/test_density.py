@@ -374,9 +374,29 @@ def test_two_qubit_routes_reject_a_one_qubit_state():
     rho = np.eye(2, dtype=complex) / 2
     check_density_matrix(rho)
     message = re.escape("expected a 4x4 matrix, got shape (2, 2)")
-    for route in (extract_bloch, _NON_FINITE_GATED["apply_kraus"]):
+    routes = (extract_bloch, _NON_FINITE_GATED["apply_kraus"], lambda m: partial_trace(m, "a"))
+    for route in routes:
         with pytest.raises(PhysicalityError, match=message):
             route(rho)
+
+
+@pytest.mark.parametrize("v", [[0.1, 0.2, 0.3, 0.4], [0.1, 0.2]], ids=["four", "two"])
+def test_qubit_state_rejects_a_non_3_vector(v):
+    message = re.escape(f"v must be a real 3-vector, got shape ({len(v)},)")
+    with pytest.raises(ValueError, match=message):
+        qubit_state(v)
+
+
+def test_bloch_vector_rejects_a_two_qubit_state():
+    message = re.escape("expected a 2x2 matrix, got shape (4, 4)")
+    with pytest.raises(PhysicalityError, match=message):
+        bloch_vector(np.eye(4) / 4)
+
+
+def test_partial_trace_rejects_a_flat_vector():
+    # 16 entries reshape to (2, 2, 2, 2), so only the shape check tells
+    with pytest.raises(PhysicalityError, match=re.escape("got shape (16,)")):
+        partial_trace(np.eye(4).reshape(16) / 4, "a")
 
 
 def test_hermitian_gate_accepts_three_by_three():

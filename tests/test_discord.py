@@ -138,6 +138,8 @@ def test_theta_range_values():
     assert theta_range(0.0, 0.3) == pytest.approx((0.09, 0.09))
     assert theta_range(0.3, 0.3) == pytest.approx((0.0, 0.36))
     assert theta_range(0.4, 0.0) == pytest.approx((0.16, 0.16))
+    with pytest.raises(ValueError, match="c must be finite"):
+        theta_range(0.3, np.inf)
 
 
 def test_reduced_objective_equal_at_interval_ends():
@@ -428,6 +430,7 @@ NAN_CASES = [
     (reduced_correlation_objective, (0.1, NAN, 0.2), DomainError),
     (reduced_correlation_objective, (0.1, 0.3, NAN), DomainError),
     (theta_range, (NAN, 0.2), ValueError),
+    (theta_range, (0.3, NAN), ValueError),
 ]
 
 

@@ -44,6 +44,9 @@ def test_grid_nearest_neighbour_gap_is_small():
 def test_grid_rejects_nonpositive_count():
     with pytest.raises(ValueError):
         fibonacci_grid(0)
+    with pytest.raises(ValueError, match="n must be a positive integer, got 2.5"):
+        fibonacci_grid(2.5)
+    assert fibonacci_grid(np.int64(5)).shape == (5, 3)
 
 
 def test_config_validation():
@@ -55,6 +58,12 @@ def test_config_validation():
         SphereOptConfig(local_points=0)
     with pytest.raises(ValueError):
         SphereOptConfig(refine_rounds=0)
+    # a count is an integer: a fraction would fail inside numpy's index
+    # arithmetic or round the lattice up
+    for name in ("grid_points", "refine_rounds", "local_points"):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got 2.5"):
+            SphereOptConfig(**{name: 2.5})
+    assert SphereOptConfig(grid_points=np.int64(50)).grid_points == 50
 
 
 def test_linear_objective_finds_pole():
