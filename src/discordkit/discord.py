@@ -46,6 +46,10 @@ METHOD_S0_PLANAR = "s0-planar"
 
 # Tolerance of every family predicate.
 _FAMILY_TOL = 1e-12
+# The default search.  Correlation objectives are antipodally symmetric, so
+# the hemisphere restriction is exact for them; built once, since each
+# SphereOptConfig validates its fields.
+_SEARCH_CONFIG = SphereOptConfig(hemisphere=True)
 # PSD bound of the c = |r| sub-family: (1-c)^2 >= 5 c^2.
 C_EQ_R_MAX = 1.0 / (1.0 + np.sqrt(5.0))
 
@@ -281,9 +285,7 @@ def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     """Sphere maxima of the correlation objectives of ``states``: one
     Newton-polished :func:`maximize_batch` over all of them."""
     r, s, c = (np.stack([getattr(p, k) for p in states]) for k in "rsc")
-    # Correlation objectives are antipodally symmetric, so the hemisphere
-    # restriction is exact here.
-    cfg = replace(SphereOptConfig() if cfg is None else cfg, hemisphere=True)
+    cfg = _SEARCH_CONFIG if cfg is None else replace(cfg, hemisphere=True)
     return maximize_batch(
         lambda z, rows=slice(None): _correlation_kernel(r[rows], s[rows], c[rows], z),
         len(states),

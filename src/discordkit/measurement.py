@@ -10,6 +10,7 @@ evaluated here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +28,11 @@ _AXIS_NORM_TOL = 1e-9
 # on every axis of a state that passed the PSD gate, but NaN derivatives
 # there, so the row stops uncertified and falls back to the cap rounds.
 _SMOOTH_FLOOR = 1e-3
-_LN2 = np.log(2.0)
-_SIGNS = np.array([1.0, -1.0])
-# The objective is sum_j _WEIGHTS[j] t_j log2 t_j, t_j = 1 + _JACOBIAN[j] . (w, x+, x-).
-_WEIGHTS = np.array([-0.5, -0.5, 0.25, 0.25, 0.25, 0.25])
-_JACOBIAN = np.array([[1, 0, 0], [-1, 0, 0], [1, 1, 0], [1, -1, 0], [-1, 0, 1], [-1, 0, -1.0]])
+# |a_j| / ln 2 for the weights a_j = -1/2 and 1/4 of the objective's t log2 t terms
+_HALF_OVER_LN2 = 0.5 / float(np.log(2.0))
+_QUARTER_OVER_LN2 = 0.25 / float(np.log(2.0))
+# the tangent gradient and Riemannian Hessian of a row off the smooth region
+_NAN_ROW = (math.nan,) * 6
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,8 @@ def _correlation_kernel(
 
 def _combine(xlog: np.ndarray) -> np.ndarray:
     """The objective from its six t log2 t terms x0..x5, in one fixed order:
-    -(x0 + x1)/2 + (x2 + x3)/4 + (x4 + x5)/4, each quarter as half a half."""
+    -(x0 + x1)/2 + (x2 + x3)/4 + (x4 + x5)/4, each quarter as half a half.
+    :func:`_correlation_model` sums its float terms in the same order."""
     half = 0.5 * (xlog[0::2] + xlog[1::2])
     quarter = 0.5 * half[1:]
     return -half[0] + quarter[0] + quarter[1]
@@ -218,52 +220,96 @@ def _correlation_model(
     z of shape (n, 3), in orthonormal tangent bases B (``basis``, (n, 3, 2))
     at z, from one set of log arguments.
 
-    The value is the kernel's at that axis, bit for bit: the same
+    Each row's six log arguments are formed in Python floats in exactly
+    :func:`_log_arguments`' operation order, all rows go through one
     :func:`density._xlog2` pass, which checks the floor and clamps t in
-    place, and the same sum; the derivatives take log2 of that clamped t.
-    The objective is sum_j a_j f(t_j), with f(t) = t log2 t, a =
-    ``_WEIGHTS`` and t_j = 1 + J_j . (w, x+, x-), J =
-    ``_JACOBIAN``; w = s.z has gradient s, x+- = |u+-| = |r +- c*z| has
-    gradient v+- = +-c*u+- / x+- and Hessian (diag(c^2) - v+- v+-^T) / x+-.
-    With V = [s; v+; v-], g = J^T a log2(t) (f' is log2 t + 1/ln 2, and
-    J^T a = 0), k+- = g+- / x+- and K = J^T diag(a / (t ln 2)) J -
-    diag(0, k+, k-), the gradient is V^T g and the Hessian V^T K V +
-    (k+ + k-) diag(c^2).  On W = V B the tangent gradient is W^T g and the
-    Riemannian Hessian W^T K W + (k+ + k-) B^T diag(c^2) B - (z . grad) I.
-    Every product is elementwise or a matmul stacked over rows, on operands
-    laid out alike whatever n, so a row's output does not depend on the
-    batch.  Rows with a log argument or x+- below 1e-3 get NaN derivatives.
+    place, and each row's terms are summed in :func:`_combine`'s order: so
+    the value is the kernel's at that axis, bit for bit.  The derivatives
+    take log2 of that clamped t and are worked out per row in floats
+    (:func:`_tangent_derivatives`).  The objective is sum_j a_j
+    f(t_j) with f(t) = t log2 t, weights a = (-1/2, -1/2, 1/4, 1/4, 1/4,
+    1/4) and t_j = 1 + J_j . (w, x+, x-) for the sign rows J_j = (1, 0, 0),
+    (-1, 0, 0), (1, +-1, 0) and (-1, 0, +-1); w = s.z has gradient s, x+- =
+    |u+-| = |r +- c*z| has gradient v+- = +-c*u+- / x+- and Hessian
+    (diag(c^2) - v+- v+-^T) / x+-.  With V = [s; v+; v-], g = J^T a log2(t)
+    (f' is log2 t + 1/ln 2, and J^T a = 0), k+- = g+- / x+- and K = J^T
+    diag(a / (t ln 2)) J - diag(0, k+, k-), the gradient is V^T g and the
+    Hessian V^T K V + (k+ + k-) diag(c^2).  On W = V B the tangent gradient
+    is W^T g and the Riemannian Hessian W^T K W + (k+ + k-) B^T diag(c^2) B
+    - (z . grad) I.  Each row's output depends on that row alone.  Rows
+    with a log argument or x+- below 1e-3 get NaN derivatives.
     """
-    t, u, x = _log_arguments(r, s, c, z[:, None, :])
-    t, u, x = t[..., 0], u[..., 0].transpose(2, 0, 1), x[..., 0].T  # (6, n), (n, 2, 3), (n, 2)
-    rough = None
-    # on the raw t: _xlog2 sets a clamped argument to 1, which looks smooth
-    if not min(t.min(initial=np.inf), x.min(initial=np.inf)) >= _SMOOTH_FLOOR:
-        rough = ~((t.min(axis=0) >= _SMOOTH_FLOOR) & (x.min(axis=1) >= _SMOOTH_FLOOR))
-        x[rough] = 1.0
-    value = _combine(_xlog2(t))
-    log_t = np.log2(t)
-    # a_j f'(t_j) without the constant, and a_j f''(t_j), as C-ordered (n, 6)
-    d1 = np.multiply(log_t.T, _WEIGHTS, order="C")
-    d2 = np.divide(_WEIGHTS / _LN2, t.T, order="C")
-    coef = d1[:, None, :] @ _JACOBIAN  # (n, 1, 3): g = (g_w, g+, g-)
-    curv = coef[:, 0, 1:] / x  # k+-
-    k = _JACOBIAN.T @ (d2[:, :, None] * _JACOBIAN)
-    k.reshape(-1, 9)[:, 4::4] -= curv  # the own terms q+- / 4 - k+-
-    vecs = np.empty((len(z), 3, 3))  # V
-    vecs[:, 0] = s
-    vecs[:, 1:] = _SIGNS[:, None] * c[:, None] * u / x[:, :, None]
-    proj = vecs @ np.concatenate([basis, z[:, :, None]], axis=2)  # W, and V z
-    grad = (coef @ proj)[:, 0]  # B^T grad, and z . grad
-    hess = proj[:, :, :2].transpose(0, 2, 1) @ k @ proj[:, :, :2]
-    c2 = basis.transpose(0, 2, 1) @ (basis * (c * c)[:, :, None])  # B^T diag(c^2) B
-    hess += (curv[:, 0] + curv[:, 1])[:, None, None] * c2
-    hess.reshape(-1, 4)[:, ::3] -= grad[:, 2:]  # the diagonal of each 2x2
-    hess[:, 1, 0] = hess[:, 0, 1]  # symmetric bit for bit
-    if rough is not None:
-        grad[rough] = np.nan
-        hess[rough] = np.nan
-    return value, grad[:, :2], hess
+    rows, args = [], []
+    for (r0, r1, r2), s_row, c_row, z_row, b_row in zip(
+        r.tolist(), s.tolist(), c.tolist(), z.tolist(), basis.reshape(-1, 6).tolist()
+    ):
+        (s0, s1, s2), (c0, c1, c2), (z0, z1, z2) = s_row, c_row, z_row
+        w = (s0 * z0 + s1 * z1) + s2 * z2
+        cz0, cz1, cz2 = c0 * z0, c1 * z1, c2 * z2
+        up = (r0 + cz0, r1 + cz1, r2 + cz2)
+        um = (r0 - cz0, r1 - cz1, r2 - cz2)
+        xp = math.sqrt((up[0] * up[0] + up[1] * up[1]) + up[2] * up[2])
+        xm = math.sqrt((um[0] * um[0] + um[1] * um[1]) + um[2] * um[2])
+        tp, tm = 1.0 + w, 1.0 - w
+        t_row = (tp, tm, tp + xp, tp - xp, tm + xm, tm - xm)
+        args += t_row
+        # on the raw t: _xlog2 sets a clamped argument to 1, which looks smooth
+        smooth = min(t_row[3], t_row[5], xp, xm) >= _SMOOTH_FLOOR
+        rows.append((t_row, w, s_row, c_row, z_row, b_row, up, um, xp, xm) if smooth else None)
+    t = np.array(args).reshape(-1, 6)
+    value, out = [], []
+    for (x0, x1, x2, x3, x4, x5), log_t, row in zip(_xlog2(t).tolist(), np.log2(t).tolist(), rows):
+        half = 0.5 * (x0 + x1)  # _combine's order
+        value.append(-half + 0.5 * (0.5 * (x2 + x3)) + 0.5 * (0.5 * (x4 + x5)))
+        out += _NAN_ROW if row is None else _tangent_derivatives(log_t, *row)
+    out = np.array(out).reshape(-1, 6)
+    return np.array(value), out[:, :2], out[:, 2:].reshape(-1, 2, 2)
+
+
+def _tangent_derivatives(log_t, t, w, s, c, z, basis, up, um, xp, xm):
+    """One row of :func:`_correlation_model`'s derivatives, in Python
+    floats: the tangent gradient and the Riemannian Hessian, flattened."""
+    l0, l1, l2, l3, l4, l5 = log_t
+    t0, t1, t2, t3, t4, t5 = t
+    (s0, s1, s2), (c0, c1, c2), (z0, z1, z2) = s, c, z
+    b00, b01, b10, b11, b20, b21 = basis
+    # g = J^T a log2(t) = (g_w, g+, g-), and k+-
+    gw = 0.5 * (l1 - l0) + 0.25 * ((l2 + l3) - (l4 + l5))
+    gp, gm = 0.25 * (l2 - l3), 0.25 * (l4 - l5)
+    kp, km = gp / xp, gm / xm
+    # K = J^T diag(a / (t ln 2)) J - diag(0, k+, k-), whose +- entry is 0
+    q2, q3 = _QUARTER_OVER_LN2 / t2, _QUARTER_OVER_LN2 / t3
+    q4, q5 = _QUARTER_OVER_LN2 / t4, _QUARTER_OVER_LN2 / t5
+    kww = ((q2 + q3) + (q4 + q5)) - (_HALF_OVER_LN2 / t0 + _HALF_OVER_LN2 / t1)
+    kwp, kwm = q2 - q3, q5 - q4
+    kpp, kmm = (q2 + q3) - kp, (q4 + q5) - km
+    # v+- = +-c*u+- / x+-, then W = V B and V z
+    vp0, vp1, vp2 = c0 * up[0] / xp, c1 * up[1] / xp, c2 * up[2] / xp
+    vm0, vm1, vm2 = -c0 * um[0] / xm, -c1 * um[1] / xm, -c2 * um[2] / xm
+    ws0, ws1 = (s0 * b00 + s1 * b10) + s2 * b20, (s0 * b01 + s1 * b11) + s2 * b21
+    wp0, wp1 = (vp0 * b00 + vp1 * b10) + vp2 * b20, (vp0 * b01 + vp1 * b11) + vp2 * b21
+    wm0, wm1 = (vm0 * b00 + vm1 * b10) + vm2 * b20, (vm0 * b01 + vm1 * b11) + vm2 * b21
+    vz_p, vz_m = (vp0 * z0 + vp1 * z1) + vp2 * z2, (vm0 * z0 + vm1 * z1) + vm2 * z2
+    radial = (gw * w + gp * vz_p) + gm * vz_m  # z . grad
+    # K W, column by column
+    yw0, yw1 = (kww * ws0 + kwp * wp0) + kwm * wm0, (kww * ws1 + kwp * wp1) + kwm * wm1
+    yp0, yp1 = kwp * ws0 + kpp * wp0, kwp * ws1 + kpp * wp1
+    ym0, ym1 = kwm * ws0 + kmm * wm0, kwm * ws1 + kmm * wm1
+    # diag(c) B, for (k+ + k-) B^T diag(c^2) B
+    e0, e1, e2 = c0 * b00, c1 * b10, c2 * b20
+    f0, f1, f2 = c0 * b01, c1 * b11, c2 * b21
+    kc = kp + km
+    h00 = ((ws0 * yw0 + wp0 * yp0) + wm0 * ym0) + kc * ((e0 * e0 + e1 * e1) + e2 * e2)
+    h01 = ((ws0 * yw1 + wp0 * yp1) + wm0 * ym1) + kc * ((e0 * f0 + e1 * f1) + e2 * f2)
+    h11 = ((ws1 * yw1 + wp1 * yp1) + wm1 * ym1) + kc * ((f0 * f0 + f1 * f1) + f2 * f2)
+    return (
+        (gw * ws0 + gp * wp0) + gm * wm0,
+        (gw * ws1 + gp * wp1) + gm * wm1,
+        h00 - radial,
+        h01,
+        h01,
+        h11 - radial,
+    )
 
 
 def correlation_objective(params: BlochParams, axis):

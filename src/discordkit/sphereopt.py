@@ -19,6 +19,7 @@ result is bit-identical to that of a search run alone;
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,8 +46,9 @@ _AXIS_BUDGET = 8192
 
 
 def _check_count(name: str, n) -> None:
-    """A point or round count is an integer of at least 1; numpy integers pass."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    """A point or round count is an integer of at least 1; numpy integers
+    pass, booleans (an ``Integral`` in Python) do not."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
@@ -181,6 +183,32 @@ def _cap_grids(
     return pts
 
 
+def _tangent_pair(u: list[float]) -> tuple[float, ...]:
+    """An orthonormal tangent pair e1, e2 at the unit axis ``u``, in Python
+    floats and as its (3, 2) columns flattened row by row: e1 = u x e_k for
+    the e_k least aligned with u, normalized, then e2 = u x e1.  The same
+    pair as :func:`_tangent_bases` up to the last bit of the normalization."""
+    u0, u1, u2 = u
+    a0, a1, a2 = abs(u0), abs(u1), abs(u2)
+    if a0 <= a1 and a0 <= a2:  # argmin's first minimum
+        f0, f1, f2 = 0.0, u2, -u1
+    elif a1 <= a2:
+        f0, f1, f2 = -u2, 0.0, u0
+    else:
+        f0, f1, f2 = u1, -u0, 0.0
+    norm = math.sqrt((f0 * f0 + f1 * f1) + f2 * f2)
+    f0, f1, f2 = f0 / norm, f1 / norm, f2 / norm
+    return (f0, u1 * f2 - u2 * f1, f1, u2 * f0 - u0 * f2, f2, u0 * f1 - u1 * f0)
+
+
+def _evaluate_model(model, z: list, pairs: list) -> tuple[list, list, list]:
+    """``model`` on the rows ``z`` and their flat tangent ``pairs``, as
+    lists: the values, the gradients and the Hessians flattened row by row."""
+    n = len(z)
+    value, grad, hess = model(np.array(z), np.array(pairs).reshape(n, 3, 2))
+    return value.tolist(), grad.tolist(), hess.reshape(n, 4).tolist()
+
+
 def _newton_polish(model, value, axis, hemisphere, max_step):
     """At most four Riemannian Newton steps from each row's lattice
     incumbent: a tangent basis and a ``model`` call there and per trial.
@@ -198,54 +226,75 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
     maxima, accepted steps, objective evaluations, gradient norms, top
     eigenvalues), with the steps 0 and the top eigenvalue NaN on
     uncertified rows; their evaluations still count the trials.
+
+    The rows step in lockstep, one ``model`` call on all of them per
+    iterate, and each live row's step is worked out in Python floats:
+    numpy's per-call cost on a handful of rows is what a search of one
+    state would otherwise spend most of its polish on.
     """
     n = len(axis)
-    z, best_z, best = axis.copy(), axis.copy(), value.copy()
-    live = np.ones(n, dtype=bool)
-    certified = np.zeros(n, dtype=bool)
-    steps = np.zeros(n, dtype=int)
-    evaluations = np.zeros(n, dtype=int)
-    grad_norm = np.full(n, np.nan)
-    top = np.full(n, np.nan)
-    basis = _tangent_bases(z)
-    g, h = model(z, basis)[1:]
+    z = axis.tolist()
+    pairs = [_tangent_pair(u) for u in z]
+    best, best_z = value.tolist(), list(z)
+    certified = [False] * n
+    steps, evaluations = [0] * n, [0] * n
+    grad_norm, top = [math.nan] * n, [math.nan] * n
+    live = range(n)
+    g, h = _evaluate_model(model, z, pairs)[1:]
     for k in range(_NEWTON_STEPS + 1):
-        a, b, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
-        lam = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-        norm = np.hypot(g[:, 0], g[:, 1])
-        np.copyto(grad_norm, norm, where=live)
-        concave = lam < -_CURVATURE_TOL
-        # the quadratic model's rise above z, g.(-h)^{-1} g / 2, is at most
-        # norm^2 / (2 |lam|): where the curvature is weak, a small gradient
-        # alone still leaves the row well below its maximum
-        done = live & concave & (norm <= _GRADIENT_TOL) & (norm * norm <= -2.0 * lam * _VALUE_SLACK)
-        certified |= done
-        np.copyto(top, lam, where=done)
-        live &= concave & ~done
-        if k == _NEWTON_STEPS or not live.any():
+        concave = []
+        for i in live:
+            a, b, _, d = h[i]
+            lam = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
+            norm = grad_norm[i] = math.hypot(*g[i])
+            if not lam < -_CURVATURE_TOL:
+                continue
+            # the quadratic model's rise above z, g.(-h)^{-1} g / 2, is at most
+            # norm^2 / (2 |lam|): where the curvature is weak, a small gradient
+            # alone still leaves the row well below its maximum
+            if norm <= _GRADIENT_TOL and norm * norm <= -2.0 * lam * _VALUE_SLACK:
+                certified[i], top[i] = True, lam
+            else:
+                concave.append(i)
+        if k == _NEWTON_STEPS or not concave:
             break
-        # the Newton step -h^{-1} g; live rows have a d - b^2 > 1e-16
-        det = np.where(live, a * d - b * b, 1.0)
-        step0 = (b * g[:, 1] - d * g[:, 0]) / det
-        step1 = (b * g[:, 0] - a * g[:, 1]) / det
-        live &= np.hypot(step0, step1) <= max_step
-        trial = z + step0[:, None] * basis[:, :, 0] + step1[:, None] * basis[:, :, 1]
-        trial /= np.sqrt(np.add.reduce(trial * trial, axis=1))[:, None]  # as linalg.norm
-        if hemisphere:
-            trial[trial[:, 2] < 0.0] *= -1.0
-        np.copyto(trial, z, where=~live[:, None])
-        # the trial's value and, where it is accepted, the next basis and derivatives
-        basis = _tangent_bases(trial)
-        trial_value, g, h = model(trial, basis)
-        evaluations += live
-        live &= trial_value >= best - _VALUE_SLACK
-        steps += live
-        np.copyto(z, trial, where=live[:, None])
-        up = live & (trial_value > best)
-        np.copyto(best, trial_value, where=up)
-        np.copyto(best_z, trial, where=up[:, None])
-    steps[~certified] = 0
-    return certified, best_z, best, steps, evaluations, grad_norm, top
+        # the Newton step -h^{-1} g; concave rows have a d - b^2 > 1e-16
+        trial, trial_pairs, moved = list(z), list(pairs), []
+        for i in concave:
+            a, b, _, d = h[i]
+            g0, g1 = g[i]
+            det = a * d - b * b
+            step0, step1 = (b * g1 - d * g0) / det, (b * g0 - a * g1) / det
+            if not math.hypot(step0, step1) <= max_step:
+                continue
+            # z + step0 e1 + step1 e2, normalized and folded
+            (z0, z1, z2), (e0, f0, e1, f1, e2, f2) = z[i], pairs[i]
+            p0 = (z0 + step0 * e0) + step1 * f0
+            p1 = (z1 + step0 * e1) + step1 * f1
+            p2 = (z2 + step0 * e2) + step1 * f2
+            length = math.sqrt((p0 * p0 + p1 * p1) + p2 * p2)
+            if hemisphere and p2 < 0.0:
+                length = -length
+            trial[i] = [p0 / length, p1 / length, p2 / length]
+            trial_pairs[i] = _tangent_pair(trial[i])
+            moved.append(i)
+        # the trials' values and, where accepted, the next derivatives
+        trial_value, g, h = _evaluate_model(model, trial, trial_pairs)
+        live = []
+        for i in moved:
+            evaluations[i] += 1
+            if not trial_value[i] >= best[i] - _VALUE_SLACK:
+                continue
+            steps[i] += 1
+            z[i], pairs[i] = trial[i], trial_pairs[i]
+            live.append(i)
+            if trial_value[i] > best[i]:
+                best[i], best_z[i] = trial_value[i], trial[i]
+    certified = np.array(certified)
+    return (
+        certified, np.array(best_z), np.array(best), np.where(certified, steps, 0),
+        np.array(evaluations), np.array(grad_norm), np.array(top),
+    )
 
 
 def maximize_batch(

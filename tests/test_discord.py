@@ -11,6 +11,7 @@ from discordkit import (
     DiscordReport,
     DomainError,
     FamilyError,
+    OptResult,
     PhaseDamping,
     PhysicalityError,
     RangeError,
@@ -646,7 +647,9 @@ def _assert_same_report(a: DiscordReport, b: DiscordReport) -> None:
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
-def test_numeric_batch_equals_one_state_at_a_time():
+def _mixed_batch() -> list[BlochParams]:
+    """47 states for one lockstep search: general draws, flat, product and
+    boundary rows, the two one-sided families, and a damp sweep."""
     rng = np.random.default_rng(239)
     werner = BlochParams([0, 0, 0], [0, 0, 0], [0.2, 0.2, 0.2])  # flat objective
     # c = 0 with both marginals polarized: correlated, but classical on b
@@ -664,10 +667,30 @@ def test_numeric_batch_equals_one_state_at_a_time():
     # 47 states in one lockstep search
     states = draw_general_batch(rng, 20) + [werner, classical_on_b, product, boundary]
     states += [r0, s0] + sweep + draw_general_batch(rng, 10)
+    assert len(states) == 47
+    return states
+
+
+def test_numeric_batch_equals_one_state_at_a_time():
+    states = _mixed_batch()
     batch = discord_numeric_batch(iter(states))
     assert len(batch) == 47
     for params, report in zip(states, batch):
         _assert_same_report(report, discord_numeric(params))
+
+
+def test_batch_search_diagnostics_equal_one_state_at_a_time():
+    # the polish steps every row in lockstep, so each row's Newton steps,
+    # evaluations and certificate, not only its report, must be those of a
+    # search run on it alone
+    states = _mixed_batch()
+    batch = discord_module._correlation_search(states, None)
+    assert {res.refine_rounds for res in batch} == {0, 40}  # both routes run
+    for params, res in zip(states, batch):
+        alone = discord_module._correlation_search([params], None)[0]
+        for field in fields(OptResult):
+            assert np.array_equal(getattr(res, field.name), getattr(alone, field.name),
+                                  equal_nan=True), field.name
 
 
 def test_numeric_batch_gates_every_state_before_searching(monkeypatch):
@@ -887,9 +910,9 @@ def test_newton_polish_matches_forty_round_search():
 
 
 def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
-    calls, model_calls, log_arguments = [], [], []
+    calls, model_calls, xlog_calls = [], [], []
     kernel, model = discord_module._correlation_kernel, discord_module._correlation_model
-    arguments = measurement_module._log_arguments
+    xlog2 = measurement_module._xlog2
 
     def counting(*args):
         calls.append(args[-1].shape)
@@ -898,30 +921,36 @@ def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
     def counting_model(r, s, c, z, basis):
         # the basis is the tangent pair at this iterate, not a stale one
         assert np.abs(np.einsum("nia,ni->na", basis, z)).max() <= 1e-15
-        model_calls.append((z.shape, basis.shape))
-        return model(r, s, c, z, basis)
+        before = len(xlog_calls)
+        out = model(r, s, c, z, basis)
+        model_calls.append((z.shape, basis.shape, xlog_calls[before:]))
+        return out
 
-    def counting_arguments(*args):
-        log_arguments.append(args[-1].shape)
-        return arguments(*args)
+    def counting_xlog2(t):
+        xlog_calls.append(np.shape(t))
+        return xlog2(t)
 
     monkeypatch.setattr(discord_module, "_correlation_kernel", counting)
     monkeypatch.setattr(discord_module, "_correlation_model", counting_model)
-    monkeypatch.setattr(measurement_module, "_log_arguments", counting_arguments)
+    monkeypatch.setattr(measurement_module, "_xlog2", counting_xlog2)
     # the pool of the oracle-scan benchmark at seed 1
-    for params in draw_general_batch(np.random.default_rng(1), 48):
-        for log in (calls, model_calls, log_arguments):
+    pool = draw_general_batch(np.random.default_rng(1), 48)
+    for params in pool:
+        for log in (calls, model_calls):
             log.clear()
         res = discord_module._correlation_search([params], None)[0]
         # no 64-point cap round runs: the polish certifies every general
         # draw.  The lattice pass is one kernel call; the polish is one model
         # call at the incumbent and one per Newton trial, and each model call
-        # makes the log arguments once for the value and the derivatives
+        # makes one _xlog2 pass, on the (1, 6) log arguments of its one row
         trials = res.evaluations - 2000
         assert res.refine_rounds == 0 and 1 <= trials <= 4
         assert calls == [(1, 2000, 3)]
-        assert model_calls == [((1, 3), (1, 3, 2))] * (1 + trials)
-        assert len(log_arguments) == 2 + trials
+        assert model_calls == [((1, 3), (1, 3, 2), [(1, 6)])] * (1 + trials)
+    # in a batch, too, each model call makes one _xlog2 pass for all its rows
+    model_calls.clear()
+    discord_module._correlation_search(pool[:8], None)
+    assert model_calls and all(call == ((8, 3), (8, 3, 2), [(8, 6)]) for call in model_calls)
 
 
 def test_polish_from_a_coarse_lattice_keeps_global_reach():

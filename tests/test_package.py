@@ -82,3 +82,44 @@ def test_every_private_module_name_is_read_in_src():
                     orphans.append(f"{module}:{name}")
     assert private > 0
     assert orphans == []
+
+
+_MATH_LOGS = {"log", "log2", "log10", "log1p"}
+
+
+def _math_logs(tree) -> list[str]:
+    """Every use of a logarithm of the ``math`` module in ``tree``: an
+    import of one, or an attribute of ``math`` (or an alias of it) read,
+    called or not."""
+    aliases = {"math"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "math" and alias.asname
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {node.lineno}: from math import {a.name}"
+                      for a in node.names if a.name in _MATH_LOGS | {"*"}]
+        elif (isinstance(node, ast.Attribute) and node.attr in _MATH_LOGS
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_src_takes_no_logarithm_from_math():
+    # every t log2 t must come from density._xlog2 (np.log2): math.log2
+    # differs from np.log2 in the last bit on some inputs, so a float log
+    # next to the kernel would break the Newton model's bit-for-bit value.
+    # math.sqrt stays allowed: it is correctly rounded, like np.sqrt
+    uses = {
+        path.name: _math_logs(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in uses.items() if found} == {}
+    # the scan sees each form it forbids
+    probe = "import math\nimport math as m\nfrom math import log1p\nmath.log2(2.0)\nf = m.log\nmath.log10\n"
+    assert len(_math_logs(ast.parse(probe))) == 4
+    assert _math_logs(ast.parse("import math\nmath.sqrt(2.0)\nnp.log2(2.0)\n")) == []

@@ -46,6 +46,9 @@ def test_grid_rejects_nonpositive_count():
         fibonacci_grid(0)
     with pytest.raises(ValueError, match="n must be a positive integer, got 2.5"):
         fibonacci_grid(2.5)
+    # bool is an Integral, but True is no count: it would give a one-point grid
+    with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+        fibonacci_grid(True)
     assert fibonacci_grid(np.int64(5)).shape == (5, 3)
 
 
@@ -59,10 +62,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SphereOptConfig(refine_rounds=0)
     # a count is an integer: a fraction would fail inside numpy's index
-    # arithmetic or round the lattice up
+    # arithmetic or round the lattice up, and True (an Integral) would run a
+    # one-point lattice
     for name in ("grid_points", "refine_rounds", "local_points"):
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got 2.5"):
-            SphereOptConfig(**{name: 2.5})
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {bad}"):
+                SphereOptConfig(**{name: bad})
     assert SphereOptConfig(grid_points=np.int64(50)).grid_points == 50
 
 
