@@ -77,11 +77,21 @@ def apply_kraus(rho: np.ndarray, channel: PhaseDamping) -> np.ndarray:
 def damp_bloch(params: BlochParams, channel: PhaseDamping) -> BlochParams:
     """Parameter-route damping: transverse Bloch components scale by
     sqrt(1-gamma), transverse correlations by (1-gamma), third components
-    are untouched."""
-    f = np.sqrt(1.0 - channel.gamma)
-    scale_v = np.array([f, f, 1.0])
-    scale_c = np.array([f * f, f * f, 1.0])
-    return BlochParams(params.r * scale_v, params.s * scale_v, params.c * scale_c)
+    are untouched (see :func:`_damped_rows`)."""
+    r, s, c = _damped_rows(params, [channel.gamma])
+    return BlochParams(r[0], s[0], c[0])
+
+
+def _damped_rows(params: BlochParams, gammas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r, s and c of the parameter-route images of ``params`` at each
+    rate of ``gammas``, as (k, 3) arrays: r (f, f, 1), s (f, f, 1) and
+    c (f f, f f, 1) with f = sqrt(1 - gamma).  The one damping rule, for
+    one rate or a whole grid at once."""
+    f = np.sqrt(1.0 - np.asarray(gammas, dtype=float))[:, None]
+    scale = np.ones((3, len(f), 3))
+    scale[:2, :, :2] = f
+    scale[2, :, :2] = f * f
+    return params.r * scale[0], params.s * scale[1], params.c * scale[2]
 
 
 def damped_mutual_information(params: BlochParams, channel: PhaseDamping) -> float:
@@ -155,23 +165,26 @@ def gamma_sweep(
 ) -> list[tuple[float, float, float]]:
     """Damped discord and damping gap on a grid of rates.
 
-    ``gammas`` must be strictly increasing inside [0, 1].  Returns
-    (gamma, Q_damped, Q_gap) rows where Q_gap = Q(rho) - Q(rho~).  The
-    state and its ``damp_bloch`` images at every gamma go through one
-    :func:`discord_numeric_batch` call, so each row equals
-    ``damped_discord(params, PhaseDamping(gamma), cfg)`` exactly while the
-    sphere searches run in lockstep.  The image at gamma = 0 is the state
-    itself, bit for bit, so a grid starting there reuses its report.
+    ``gammas`` must be strictly increasing inside [0, 1]; NaN fails that
+    check.  Returns (gamma, Q_damped, Q_gap) rows where
+    Q_gap = Q(rho) - Q(rho~).  The images at every gamma are damped at once
+    by the rule of :func:`damp_bloch` (:func:`_damped_rows`), and they and
+    the state go through one :func:`discord_numeric_batch` call, so each
+    row equals ``damped_discord(params, PhaseDamping(gamma), cfg)`` exactly
+    while the PSD gate and the sphere searches run on the whole batch.  The
+    image at gamma = 0 is the state itself, bit for bit, so a grid starting
+    there reuses its report.
     """
     grid = np.asarray(gammas, dtype=float).reshape(-1)
     if grid.size == 0:
         raise RangeError("gamma grid is empty")
-    if grid.min() < 0.0 or grid.max() > 1.0:
+    if not (grid.min() >= 0.0 and grid.max() <= 1.0):  # written so that NaN fails
         raise RangeError("gamma grid must lie inside [0, 1]")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise RangeError("gamma grid must be strictly increasing")
     start = int(grid[0] == 0.0)
-    states = [params] + [damp_bloch(params, PhaseDamping(float(g))) for g in grid[start:]]
+    images = zip(*_damped_rows(params, grid[start:]))
+    states = [params] + [BlochParams(r, s, c) for r, s, c in images]
     q0, *damped = (report.discord for report in discord_numeric_batch(states, cfg))
     damped = [q0] * start + damped
     return [(float(g), qd, q0 - qd) for g, qd in zip(grid, damped)]

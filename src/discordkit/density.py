@@ -47,7 +47,7 @@ def _as_vec3(v, name: str) -> np.ndarray:
     arr = np.array(v, dtype=float).reshape(-1)  # a copy, so the cached norms hold
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -123,41 +123,56 @@ def build_state(params: BlochParams) -> np.ndarray:
 
 def _gated_state(params: BlochParams) -> tuple[np.ndarray, np.ndarray]:
     """The state and its descending eigenvalues, after the PSD gate of
-    :func:`build_state`.
+    :func:`build_state`: the one-state case of :func:`_gated_states`."""
+    rho, lam = _gated_states([params])
+    return rho[0], lam[0]
 
-    The matrix comes from :func:`_family_matrix`; the eigenvalues come
-    from LAPACK (:func:`_eigenvalues`); the tests check them against an
-    independent Jacobi eigensolver within 4e-15.
+
+def _gated_states(states) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 4, 4) matrices of ``states`` and their (n, 4) descending
+    eigenvalues, after the PSD gate of :func:`build_state`; the first state
+    that fails it raises.
+
+    Each matrix is written out in Python floats (:func:`_family_entries`;
+    arithmetic on numpy scalars would cost more than the eigensolve), and
+    all go through one stacked LAPACK call (:func:`_eigenvalues`), which
+    solves each matrix on its own: every spectrum is the one of its state
+    alone, bit for bit.  The tests check them against an independent
+    Jacobi eigensolver within 4e-15.
     """
-    # Python floats: arithmetic on numpy scalars would cost more than the
-    # eigensolve.
-    rho = _family_matrix(params.r.tolist(), params.s.tolist(), params.c.tolist())
+    rho = 0.25 * np.array(
+        [_family_entries(p.r.tolist(), p.s.tolist(), p.c.tolist()) for p in states],
+        dtype=complex,
+    )
     lam = _eigenvalues(rho)
-    _check_floor(lam[-1], EIGENVALUE_FLOOR, PhysicalityError, "smallest eigenvalue")
+    for smallest in lam[:, -1].tolist():
+        _check_floor(smallest, EIGENVALUE_FLOOR, PhysicalityError, "smallest eigenvalue")
     return rho, lam
 
 
 def _family_matrix(r, s, c) -> np.ndarray:
-    """The family matrix written entry by entry.
+    """The family matrix of :func:`_family_entries`: Python floats give one
+    4x4 matrix, length-n arrays a (4, 4, n) stack."""
+    return 0.25 * np.array(_family_entries(r, s, c), dtype=complex)
 
-    Each of ``r``, ``s`` and ``c`` unpacks into three components: Python
-    floats give one 4x4 matrix, length-n arrays a (4, 4, n) stack.  Every
-    entry sums the same nonzero terms in the same order as the Pauli
-    expansion, so the result is bit-identical to the sum of the nine
-    Kronecker products.
+
+def _family_entries(r, s, c) -> list:
+    """Four times the family matrix, written entry by entry as nested lists.
+
+    Each of ``r``, ``s`` and ``c`` unpacks into three components, Python
+    floats or length-n arrays.  Every entry sums the same nonzero terms in
+    the same order as the Pauli expansion, so the matrix is bit-identical
+    to the sum of the nine Kronecker products.
     """
     (r0, r1, r2), (s0, s1, s2), (c0, c1, c2) = r, s, c
     ra, sa = r0 - 1j * r1, s0 - 1j * s1
     rb, sb = r0 + 1j * r1, s0 + 1j * s1
-    return 0.25 * np.array(
-        [
-            [1 + r2 + s2 + c2, sa, ra, c0 - c1],
-            [sb, 1 + r2 - s2 - c2, c0 + c1, ra],
-            [rb, c0 + c1, 1 - r2 + s2 - c2, sa],
-            [c0 - c1, rb, sb, 1 - r2 - s2 + c2],
-        ],
-        dtype=complex,
-    )
+    return [
+        [1 + r2 + s2 + c2, sa, ra, c0 - c1],
+        [sb, 1 + r2 - s2 - c2, c0 + c1, ra],
+        [rb, c0 + c1, 1 - r2 + s2 - c2, sa],
+        [c0 - c1, rb, sb, 1 - r2 - s2 + c2],
+    ]
 
 
 def _check_floor(smallest, floor: float, error: type[Exception], what: str) -> None:
@@ -168,10 +183,11 @@ def _check_floor(smallest, floor: float, error: type[Exception], what: str) -> N
 
 
 def _eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of an exactly Hermitian ``rho``, by LAPACK;
-    the one spectrum route for every eigenvalues-only need.  Matrices from
-    outside the family come through :func:`_hermitian` first."""
-    return np.linalg.eigvalsh(rho)[::-1]
+    """Descending eigenvalues of an exactly Hermitian ``rho``, or of each
+    matrix of a stack, by LAPACK; the one spectrum route for every
+    eigenvalues-only need.  Matrices from outside the family come through
+    :func:`_hermitian` first."""
+    return np.linalg.eigvalsh(rho)[..., ::-1]
 
 
 def _isotropic_spectrum(norm: float, c: float) -> np.ndarray:

@@ -27,6 +27,7 @@ from .density import (
     entropic_h,
     _check_floor,
     _gated_state,
+    _gated_states,
     _isotropic_spectrum,
     _planar_radii,
     _xlog2,
@@ -255,17 +256,18 @@ def discord_s0_planar(r, c: float) -> float:
     return float(0.5 * (h[0] + h[1] - h[2] - h[3]))
 
 
-def _mutual_informations(states, spectra) -> tuple[np.ndarray, np.ndarray]:
-    """The mutual informations of ``states`` from their gated spectra, and
-    their H_0(|r|) terms, in one vectorized pass: one :func:`entropic_h`
-    call on the |r| and |s| of every state, and one :func:`_xlog2` on the
-    stacked spectra, which counts eigenvalues below 1e-12 (the gate admits
-    -1e-9) as zero.  Every operation is elementwise or a sum within one
-    state, so each value is the one of that state alone, bit for bit."""
+def _mutual_informations(states, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mutual informations of ``states`` from their (n, 4) gated
+    spectra, and their H_0(|r|) terms, in one vectorized pass: one
+    :func:`entropic_h` call on the |r| and |s| of every state, and one
+    :func:`_xlog2` on a copy of the spectra, which counts eigenvalues below
+    1e-12 (the gate admits -1e-9) as zero.  Every operation is elementwise
+    or a sum within one state, so each value is the one of that state
+    alone, bit for bit."""
     n = len(states)
     h = entropic_h(0.0, np.array([p.r_norm for p in states] + [p.s_norm for p in states]))
     h_r, h_s = h[:n], h[n:]
-    lam_terms = np.sum(_xlog2(np.stack(spectra)), axis=1)
+    lam_terms = np.sum(_xlog2(spectra.copy()), axis=1)
     return 2.0 - h_r - h_s + lam_terms, h_r
 
 
@@ -278,19 +280,27 @@ def mutual_information(params: BlochParams) -> float:
     (a qubit with Bloch vector v has entropy 1 - H_0(|v|)), on the gated
     spectrum of the state.
     """
-    return float(_mutual_informations([params], [_gated_state(params)[1]])[0][0])
+    return float(_mutual_informations([params], _gated_states([params])[1])[0][0])
 
 
 def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     """Sphere maxima of the correlation objectives of ``states``: one
-    Newton-polished :func:`maximize_batch` over all of them."""
+    Newton-polished :func:`maximize_batch` over all of them.  The kernel
+    takes r, s and c as stacked arrays, the model as lists of float rows,
+    converted once here."""
     r, s, c = (np.stack([getattr(p, k) for p in states]) for k in "rsc")
+    lists = r.tolist(), s.tolist(), c.tolist()
+
+    def model(z, basis, rows=None):
+        picked = lists if rows is None else ([v[i] for i in rows] for v in lists)
+        return _correlation_model(*picked, z, basis)
+
     cfg = _SEARCH_CONFIG if cfg is None else replace(cfg, hemisphere=True)
     return maximize_batch(
         lambda z, rows=slice(None): _correlation_kernel(r[rows], s[rows], c[rows], z),
         len(states),
         cfg,
-        lambda z, basis: _correlation_model(r, s, c, z, basis),
+        model,
     )
 
 
@@ -330,7 +340,8 @@ def discord_numeric_batch(
 def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[DiscordReport]:
     """The reports of ``states``: the one route from a state to its report.
 
-    Every state passes the PSD gate before anything else runs.  With
+    Every state passes the PSD gate, one stacked eigensolve for the batch
+    (:func:`density._gated_states`), before anything else runs.  With
     ``closed_forms`` set, :func:`_closed_form` serves the states of its
     families, and C = I - Q; the other states (all of them otherwise)
     go through one :func:`_correlation_search`, and C = -H_0(|r|) +
@@ -343,7 +354,7 @@ def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[Discord
     """
     if not states:
         return []
-    spectra = [_gated_state(p)[1] for p in states]
+    spectra = _gated_states(states)[1]
     hits = list(map(_closed_form, states)) if closed_forms else [None] * len(states)
     misses = [p for p, hit in zip(states, hits) if hit is None]
     found = iter(_correlation_search(misses, cfg) if misses else ())

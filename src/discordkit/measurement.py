@@ -155,34 +155,37 @@ def _log_arguments(r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray):
     stacked as (n, 3) rows of r, s and c, on an (n, m, 3) array of axes.
 
     Returns the (6, n, m) arguments 1 + w, 1 - w, 1 + w +- x+ and
-    1 - w +- x-, where w = s.z and x+- = |u+-| with u+- = r +- c*z, the
-    components of u+- as a (2, 3, n, m) array and their (2, n, m) norms
-    x+-.  The work runs on contiguous component-major (3, n, m) arrays,
-    and every dot product and norm is written out component by component:
-    each value is then a fixed sequence of elementwise operations on its
-    own axis, so its rounding does not depend on where the axis sits in the
-    batch (a BLAS product may round differently with the batch's shape).
-    x+- is the norm of u+- and not the square root of the expanded form
-    |r|^2 +- 2 (r*c).z + (c*c).(z*z): where x+- is small, that form
-    cancels, and its error of about 1e-16 becomes an error of about 1e-8
-    in x+-, enough to push a log argument of a state near |s| = 1 below
-    the domain floor.
+    1 - w +- x-, where w = s.z and x+- = |u+-| with u+- = r +- c*z.  The
+    work runs on component-major (3, n, m) arrays written in place into a
+    few buffers, and every dot product and norm is written out component
+    by component: each value is then a fixed sequence of elementwise
+    operations on its own axis, so its rounding does not depend on where
+    the axis sits in the batch (a BLAS product may round differently with
+    the batch's shape).  x+- is the norm of u+- and not the square root of
+    the expanded form |r|^2 +- 2 (r*c).z + (c*c).(z*z): where x+- is small,
+    that form cancels, and its error of about 1e-16 becomes an error of
+    about 1e-8 in x+-, enough to push a log argument of a state near
+    |s| = 1 below the domain floor.
     """
     axes = z.transpose(2, 0, 1)
-    sz = np.multiply(s.T[:, :, None], axes, order="C")
-    w = sz[0] + sz[1] + sz[2]
-    cz = np.multiply(c.T[:, :, None], axes, order="C")
-    u = np.empty((2,) + cz.shape)
-    np.add(r.T[:, :, None], cz, out=u[0])
-    np.subtract(r.T[:, :, None], cz, out=u[1])
-    sq = u * u
-    x = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-    t = np.empty((6,) + w.shape)
+    shape = axes.shape[1:]
+    prod = np.multiply(s.T[:, :, None], axes, order="C")  # s*z, then c*z
+    w = np.add(prod[0], prod[1])
+    w += prod[2]
+    np.multiply(c.T[:, :, None], axes, out=prod)
+    sq = np.empty((2, 3) + shape)  # u+-, then their squares
+    np.add(r.T[:, :, None], prod, out=sq[0])
+    np.subtract(r.T[:, :, None], prod, out=sq[1])
+    sq *= sq
+    x = np.add(sq[:, 0], sq[:, 1])
+    x += sq[:, 2]
+    np.sqrt(x, out=x)
+    t = np.empty((6,) + shape)
     np.add(1.0, w, out=t[0])
     np.subtract(1.0, w, out=t[1])
     np.add(t[:2], x, out=t[2::2])
     np.subtract(t[:2], x, out=t[3::2])
-    return t, u, x
+    return t
 
 
 def _correlation_kernel(
@@ -200,25 +203,37 @@ def _correlation_kernel(
     bit for bit, whatever the shape of the batch (see
     :func:`_log_arguments`).
     """
-    return _combine(_xlog2(_log_arguments(r, s, c, z)[0]))
+    return _combine(_xlog2(_log_arguments(r, s, c, z)))
 
 
 def _combine(xlog: np.ndarray) -> np.ndarray:
     """The objective from its six t log2 t terms x0..x5, in one fixed order:
-    -(x0 + x1)/2 + (x2 + x3)/4 + (x4 + x5)/4, each quarter as half a half.
+    -(x0 + x1)/2 + (x2 + x3)/4 + (x4 + x5)/4, each quarter as half a half,
+    written in place into two buffers of one term's shape.
     :func:`_correlation_model` sums its float terms in the same order."""
-    half = 0.5 * (xlog[0::2] + xlog[1::2])
-    quarter = 0.5 * half[1:]
-    return -half[0] + quarter[0] + quarter[1]
+    x0, x1, x2, x3, x4, x5 = xlog
+    value = np.add(x0, x1)
+    value *= 0.5
+    np.negative(value, out=value)
+    quarter = np.add(x2, x3)
+    quarter *= 0.5
+    quarter *= 0.5
+    value += quarter
+    np.add(x4, x5, out=quarter)
+    quarter *= 0.5
+    quarter *= 0.5
+    value += quarter
+    return value
 
 
-def _correlation_model(
-    r: np.ndarray, s: np.ndarray, c: np.ndarray, z: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _correlation_model(r, s, c, z: np.ndarray, basis: np.ndarray):
     """Value (n,), tangent gradient (n, 2) and Riemannian Hessian (n, 2, 2)
     of the objective of :func:`_correlation_kernel` at one axis per state,
     z of shape (n, 3), in orthonormal tangent bases B (``basis``, (n, 3, 2))
-    at z, from one set of log arguments.
+    at z, from one set of log arguments.  ``r``, ``s`` and ``c`` hold the
+    states' n rows, each three numbers: the search passes lists of Python
+    floats, converted once per search (numpy rows give the same values,
+    at the cost of arithmetic on numpy scalars).
 
     Each row's six log arguments are formed in Python floats in exactly
     :func:`_log_arguments`' operation order, all rows go through one
@@ -241,7 +256,7 @@ def _correlation_model(
     """
     rows, args = [], []
     for (r0, r1, r2), s_row, c_row, z_row, b_row in zip(
-        r.tolist(), s.tolist(), c.tolist(), z.tolist(), basis.reshape(-1, 6).tolist()
+        r, s, c, z.tolist(), basis.reshape(-1, 6).tolist()
     ):
         (s0, s1, s2), (c0, c1, c2), (z0, z1, z2) = s_row, c_row, z_row
         w = (s0 * z0 + s1 * z1) + s2 * z2

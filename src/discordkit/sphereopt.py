@@ -201,11 +201,13 @@ def _tangent_pair(u: list[float]) -> tuple[float, ...]:
     return (f0, u1 * f2 - u2 * f1, f1, u2 * f0 - u0 * f2, f2, u0 * f1 - u1 * f0)
 
 
-def _evaluate_model(model, z: list, pairs: list) -> tuple[list, list, list]:
+def _evaluate_model(model, z: list, pairs: list, rows=None) -> tuple[list, list, list]:
     """``model`` on the rows ``z`` and their flat tangent ``pairs``, as
-    lists: the values, the gradients and the Hessians flattened row by row."""
+    lists: the values, the gradients and the Hessians flattened row by row.
+    ``rows``, unless None, names the searches ``z`` belongs to."""
     n = len(z)
-    value, grad, hess = model(np.array(z), np.array(pairs).reshape(n, 3, 2))
+    args = np.array(z), np.array(pairs).reshape(n, 3, 2)
+    value, grad, hess = model(*args) if rows is None else model(*args, rows)
     return value.tolist(), grad.tolist(), hess.reshape(n, 4).tolist()
 
 
@@ -227,10 +229,11 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
     eigenvalues), with the steps 0 and the top eigenvalue NaN on
     uncertified rows; their evaluations still count the trials.
 
-    The rows step in lockstep, one ``model`` call on all of them per
-    iterate, and each live row's step is worked out in Python floats:
-    numpy's per-call cost on a handful of rows is what a search of one
-    state would otherwise spend most of its polish on.
+    The rows step in lockstep, one ``model`` call per iterate on the rows
+    that moved (passed as ``rows`` when that is not every row), and each
+    live row's step is worked out in Python floats: numpy's per-call cost
+    on a handful of rows is what a search of one state would otherwise
+    spend most of its polish on.
     """
     n = len(axis)
     z = axis.tolist()
@@ -259,7 +262,7 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
         if k == _NEWTON_STEPS or not concave:
             break
         # the Newton step -h^{-1} g; concave rows have a d - b^2 > 1e-16
-        trial, trial_pairs, moved = list(z), list(pairs), []
+        moved, trial, trial_pairs = [], [], []
         for i in concave:
             a, b, _, d = h[i]
             g0, g1 = g[i]
@@ -275,21 +278,24 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
             length = math.sqrt((p0 * p0 + p1 * p1) + p2 * p2)
             if hemisphere and p2 < 0.0:
                 length = -length
-            trial[i] = [p0 / length, p1 / length, p2 / length]
-            trial_pairs[i] = _tangent_pair(trial[i])
+            u = [p0 / length, p1 / length, p2 / length]
             moved.append(i)
+            trial.append(u)
+            trial_pairs.append(_tangent_pair(u))
+        if not moved:
+            break
         # the trials' values and, where accepted, the next derivatives
-        trial_value, g, h = _evaluate_model(model, trial, trial_pairs)
+        outputs = _evaluate_model(model, trial, trial_pairs, moved if len(moved) < n else None)
         live = []
-        for i in moved:
+        for i, u, pair, u_value, u_grad, u_hess in zip(moved, trial, trial_pairs, *outputs):
             evaluations[i] += 1
-            if not trial_value[i] >= best[i] - _VALUE_SLACK:
+            if not u_value >= best[i] - _VALUE_SLACK:
                 continue
             steps[i] += 1
-            z[i], pairs[i] = trial[i], trial_pairs[i]
+            z[i], pairs[i], g[i], h[i] = u, pair, u_grad, u_hess
             live.append(i)
-            if trial_value[i] > best[i]:
-                best[i], best_z[i] = trial_value[i], trial[i]
+            if u_value > best[i]:
+                best[i], best_z[i] = u_value, u
     certified = np.array(certified)
     return (
         certified, np.array(best_z), np.array(best), np.where(certified, steps, 0),
@@ -325,9 +331,12 @@ def maximize_batch(
     first cap radius min(pi/2, 10/sqrt(grid_points)).  A row whose local
     maximum they certify stops there; every other row runs the plain rounds
     from its lattice incumbent, and so ends exactly where a search without
-    a model ends.  The rounds evaluate those rows only: while some row is
-    certified, ``f`` is called as ``f(points, rows)``, points of shape
-    (len(rows), m, 3) for the ascending search indices ``rows``.
+    a model ends.  Both evaluate only the rows that need it, under one
+    convention: a call on fewer than all n rows passes the ascending search
+    indices ``rows`` last, with one block of input per row in that order.
+    So a step calls ``model(z, basis, rows)`` on the rows it moved, z of
+    shape (len(rows), 3), and while some row is certified the rounds call
+    ``f(points, rows)``, points of shape (len(rows), m, 3).
 
     A row keeps the first point that reaches its highest value: the first
     maximal lattice point, then a cap round's or Newton iterate's point

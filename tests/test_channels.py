@@ -29,6 +29,7 @@ from discordkit import (
     werner_damped_gap,
     werner_damped_gap_dgamma,
 )
+from discordkit import channels as channels_module
 from discordkit import discord as discord_module
 from discordkit.sampling import draw_axial_zero, draw_general_batch, draw_s0_planar
 
@@ -297,6 +298,25 @@ def test_gamma_sweep_rows_equal_damped_discord(ref_state_b):
             assert gamma_sweep(params, grid) == expected
 
 
+def test_gamma_sweep_damps_the_whole_grid_at_once(monkeypatch):
+    # one _damped_rows call on the rates above 0 gives every image: no
+    # damp_bloch and no PhaseDamping per rate
+    calls = []
+    damped_rows = channels_module._damped_rows
+
+    def recording_rows(params, gammas):
+        calls.append(list(gammas))
+        return damped_rows(params, gammas)
+
+    monkeypatch.setattr(channels_module, "_damped_rows", recording_rows)
+    for name in ("damp_bloch", "PhaseDamping"):
+        monkeypatch.setattr(channels_module, name, lambda *args, name=name: calls.append(name))
+    params = draw_general_batch(np.random.default_rng(251), 1)[0]
+    grid = np.linspace(0.0, 1.0, 11)
+    assert len(gamma_sweep(params, grid)) == 11
+    assert calls == [grid[1:].tolist()]
+
+
 def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     calls, model_calls = [], []
     kernel, model = discord_module._correlation_kernel, discord_module._correlation_model
@@ -319,12 +339,13 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     # reuses the state's report): one Fibonacci pass in chunks of
     # 8192 // 11 = 744 lattice columns, then one model call at the lattice
     # incumbents and three Newton trials, which certify every row, so no
-    # cap round runs
+    # cap round runs; six rows are certified after two trials, so the third
+    # trial evaluates the other five alone
     assert [z.shape for z in calls] == [(11, 744, 3), (11, 744, 3), (11, 512, 3)]
     assert all(np.array_equal(z, np.broadcast_to(z[:1], z.shape)) for z in calls)
     lattice = fibonacci_grid(SphereOptConfig().grid_points)  # the hemisphere
     assert np.array_equal(np.concatenate([z[0] for z in calls]), lattice)
-    assert model_calls == [((11, 3), (11, 3, 2))] * 4
+    assert model_calls == [((11, 3), (11, 3, 2))] * 3 + [((5, 3), (5, 3, 2))]
 
 
 @pytest.mark.parametrize("c3", [0.3, 0.5, 0.8])
@@ -380,3 +401,8 @@ def test_gamma_sweep_rejects_bad_grids(ref_state_b):
         gamma_sweep(ref_state_b, [0.5, 1.25])
     with pytest.raises(RangeError):
         gamma_sweep(ref_state_b, [])
+    # a rate that is not finite, first or later: the grid check refuses it
+    for bad in (np.nan, np.inf, -np.inf):
+        for grid in ([bad], [bad, 0.5], [0.0, 0.25, bad], [0.25, bad, 0.75]):
+            with pytest.raises(RangeError, match=r"gamma grid must lie inside \[0, 1\]"):
+                gamma_sweep(ref_state_b, grid)

@@ -611,17 +611,22 @@ _GENERAL = BlochParams([0.1, 0, 0.2], [0.1, 0.2, 0.2], [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize(
-    "route",
+    "route, n",
     [
-        lambda: discord_numeric(_GENERAL, _SMALL_CFG),
-        lambda: discord_auto(BlochParams([0, 0, 0.3], [0, 0, 0], [0.2, 0.2, 0.2])),
-        lambda: discord_auto(_GENERAL, _SMALL_CFG),
-        lambda: damped_discord(_GENERAL, PhaseDamping(0.4), _SMALL_CFG),
-        lambda: discord_numeric_batch([_GENERAL], _SMALL_CFG),
+        (lambda: discord_numeric(_GENERAL, _SMALL_CFG), 1),
+        (lambda: discord_auto(BlochParams([0, 0, 0.3], [0, 0, 0], [0.2, 0.2, 0.2])), 1),
+        (lambda: discord_auto(_GENERAL, _SMALL_CFG), 1),
+        (lambda: damped_discord(_GENERAL, PhaseDamping(0.4), _SMALL_CFG), 1),
+        (lambda: discord_numeric_batch([_GENERAL], _SMALL_CFG), 1),
+        (lambda: discord_numeric_batch([_GENERAL] * 3, _SMALL_CFG), 3),
+        (lambda: gamma_sweep(_GENERAL, [0.0, 0.25, 0.5, 1.0], _SMALL_CFG), 4),
+        (lambda: gamma_sweep(_GENERAL, [0.25, 0.5], _SMALL_CFG), 3),
     ],
-    ids=["numeric", "auto-closed-form", "auto-general", "damped", "batch"],
+    ids=["numeric", "auto-closed-form", "auto-general", "damped", "batch", "batch-3",
+         "sweep-from-0", "sweep"],
 )
-def test_one_spectrum_per_state(monkeypatch, route):
+def test_one_spectrum_per_state(monkeypatch, route, n):
+    # one stacked eigensolve per batch: the gate's spectra serve the reports
     shapes = []
     eigenvalues = density._eigenvalues
 
@@ -631,7 +636,7 @@ def test_one_spectrum_per_state(monkeypatch, route):
 
     monkeypatch.setattr(density, "_eigenvalues", counting)
     route()
-    assert shapes == [(4, 4)]
+    assert shapes == [(n, 4, 4)]
 
 
 def test_auto_report_reconstructs_classical_corr(ref_state_b):
@@ -691,6 +696,77 @@ def test_batch_search_diagnostics_equal_one_state_at_a_time():
         for field in fields(OptResult):
             assert np.array_equal(getattr(res, field.name), getattr(alone, field.name),
                                   equal_nan=True), field.name
+
+
+def test_newton_model_evaluates_the_moved_rows_only(monkeypatch):
+    # the polish calls the model on every row at the lattice incumbents, then
+    # on the rows each trial moves, named as ascending search indices: so a
+    # row is evaluated once per Newton trial its result counts, and never
+    # after it stopped
+    calls = []
+    search = discord_module.maximize_batch
+
+    def recording_search(f, n, cfg, model):
+        def recording_model(z, basis, rows=None):
+            if rows is None:
+                calls.append(list(range(n)))
+                return model(z, basis)
+            assert list(rows) == sorted(set(rows)) and len(rows) < n  # ascending, not all
+            calls.append(list(rows))
+            return model(z, basis, rows)
+
+        return search(f, n, cfg, recording_model)
+
+    monkeypatch.setattr(discord_module, "maximize_batch", recording_search)
+    states = _mixed_batch()
+    results = discord_module._correlation_search(states, None)
+    assert calls[0] == list(range(len(states)))
+    assert any(len(rows) < len(states) for rows in calls[1:])
+    for i, res in enumerate(results):
+        trials = res.evaluations - 2000 - 64 * res.refine_rounds
+        assert sum(i in rows for rows in calls) == 1 + trials
+
+
+def _near_floor_batch() -> list[BlochParams]:
+    """General draws scaled toward I/4 (the spectrum scales about 1/4) until
+    their smallest eigenvalue lies in [-1e-9, 0)."""
+    rng = np.random.default_rng(241)
+    states = []
+    for params in draw_general_batch(rng, 60):
+        t = (rng.uniform(-0.99e-9, -1e-12) - 0.25) / (density._gated_state(params)[1][-1] - 0.25)
+        scaled = BlochParams(t * params.r, t * params.s, t * params.c)
+        if -1e-9 <= density._gated_state(scaled)[1][-1] < 0.0:
+            states.append(scaled)
+    assert len(states) >= 50
+    return states
+
+
+def test_batch_gate_equals_the_one_state_gate_bit_for_bit():
+    # one stacked eigensolve gives each state the spectrum of an eigensolve
+    # of its own 4x4 matrix
+    for states in (_mixed_batch(), _near_floor_batch()):
+        rho, lam = density._gated_states(states)
+        assert rho.shape == (len(states), 4, 4) and lam.shape == (len(states), 4)
+        for params, rho_i, lam_i in zip(states, rho, lam):
+            alone = density._family_matrix(params.r.tolist(), params.s.tolist(), params.c.tolist())
+            assert rho_i.tobytes() == alone.tobytes()
+            assert lam_i.tobytes() == np.linalg.eigvalsh(alone)[::-1].tobytes()
+            one_rho, one_lam = density._gated_state(params)
+            assert one_rho.tobytes() == alone.tobytes() and one_lam.tobytes() == lam_i.tobytes()
+
+
+def test_batch_gate_raises_on_the_first_unphysical_state():
+    werner = BlochParams([0, 0, 0], [0, 0, 0], [1, 1, 1])  # smallest eigenvalue -1/2
+    axial = BlochParams([0.9, 0, 0], [0, 0, 0], [0, 0, 0.9])  # -6.8e-2
+    batch = [_GENERAL, werner, _GENERAL, axial]
+    message = "smallest eigenvalue -5.000e-01 below -1e-09"
+    for route in (density._gated_states, discord_numeric_batch,
+                  lambda states: discord_module._reports(states, None, closed_forms=True)):
+        with pytest.raises(PhysicalityError) as caught:
+            route(batch)
+        assert str(caught.value) == message
+    with pytest.raises(PhysicalityError, match="-6.8"):
+        density._gated_states([_GENERAL, axial])
 
 
 def test_numeric_batch_gates_every_state_before_searching(monkeypatch):
@@ -947,10 +1023,13 @@ def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
         assert res.refine_rounds == 0 and 1 <= trials <= 4
         assert calls == [(1, 2000, 3)]
         assert model_calls == [((1, 3), (1, 3, 2), [(1, 6)])] * (1 + trials)
-    # in a batch, too, each model call makes one _xlog2 pass for all its rows
+    # in a batch, too, each model call makes one _xlog2 pass for all its rows:
+    # every row at the incumbents, then the rows each trial moves
     model_calls.clear()
     discord_module._correlation_search(pool[:8], None)
-    assert model_calls and all(call == ((8, 3), (8, 3, 2), [(8, 6)]) for call in model_calls)
+    assert model_calls[0] == ((8, 3), (8, 3, 2), [(8, 6)])
+    for (k, _), basis_shape, xlog_shapes in model_calls:
+        assert 1 <= k <= 8 and basis_shape == (k, 3, 2) and xlog_shapes == [(k, 6)]
 
 
 def test_polish_from_a_coarse_lattice_keeps_global_reach():
@@ -1007,9 +1086,11 @@ def test_reported_value_covers_every_evaluated_axis(monkeypatch):
             seen.append((False, best))
             return values
 
-        def recording_model(z, basis):
-            out = model(z, basis)
-            seen.append((True, out[0]))
+        def recording_model(z, basis, rows=slice(None)):  # the moved rows
+            out = model(z, basis) if isinstance(rows, slice) else model(z, basis, rows)
+            best = np.full(n, -np.inf)
+            best[rows] = out[0]
+            seen.append((True, best))
             return out
 
         return search(kernel, n, cfg, recording_model)

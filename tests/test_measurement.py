@@ -407,7 +407,7 @@ def test_kernel_skips_the_clamp_only_where_nothing_is_clamped():
     r, s, c = _stacked([BlochParams([0, 0, third], [0, 0, third], [0, 0, -third])])
     for axis, clamped in (([0.0, 0.0, 1.0], True), ([0.6, 0.0, 0.8], False)):
         z = np.array([[axis]])
-        t = _log_arguments(r, s, c, z)[0]
+        t = _log_arguments(r, s, c, z)
         assert (t.min() < LOG_CLAMP) == clamped
         expected = _combine(_xlog2_always_clamped(t))
         np.testing.assert_array_equal(_correlation_kernel(r, s, c, z), expected)
@@ -463,19 +463,23 @@ def test_kernel_value_depends_on_its_axis_only(monkeypatch):
     for z, value in zip(cap, values):
         assert value == alone(0, z)
 
-    seen = []
+    seen = []  # (the r rows of the call, its axes, its values)
 
     def recording(*args):
-        seen.append((args[3], _correlation_kernel(*args)))
-        return seen[-1][1]
+        seen.append((args[0], args[3], _correlation_kernel(*args)))
+        return seen[-1][2]
 
-    def recording_model(*args):  # the Newton iterates: one axis per state
+    def recording_model(*args):  # the Newton iterates: one axis per moved state
         out = _correlation_model(*args)
-        seen.append((args[3][:, None].copy(), out[0][:, None]))
+        seen.append((np.array(args[0]), args[3][:, None].copy(), out[0][:, None]))
         return out
 
     monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
     monkeypatch.setattr(discord_module, "_correlation_model", recording_model)
-    for i, (params, res) in enumerate(zip(states, discord_module._correlation_search(states, None))):
-        at_axis = np.concatenate([v[i][(z[i] == res.axis).all(axis=1)] for z, v in seen])
+    for params, res in zip(states, discord_module._correlation_search(states, None)):
+        at_axis = np.concatenate([
+            v[k][(z[k] == res.axis).all(axis=1)]
+            for r_rows, z, v in seen
+            for k in np.flatnonzero((r_rows == params.r).all(axis=1))
+        ])
         assert at_axis.size and (at_axis == correlation_objective(params, res.axis)).all()

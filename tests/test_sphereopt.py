@@ -280,17 +280,17 @@ def _tangent(z, basis, grad, hess):
 
 def _quadratic_batch(n: int, seed: int):
     """n quadratic forms z.A z, as a batch objective that also takes a row
-    subset, and their model on (z, basis): the values and the tangent forms
-    of the gradients 2Az and Hessians 2A."""
+    subset, and their model on (z, basis), which takes the same subset: the
+    values and the tangent forms of the gradients 2Az and Hessians 2A."""
     mats = np.random.default_rng(seed).normal(size=(n, 3, 3))
     mats = 0.5 * (mats + mats.transpose(0, 2, 1))
 
     def f(z, rows=slice(None)):
         return np.einsum("nmi,nij,nmj->nm", z, mats[rows], z)
 
-    def model(z, basis):
-        grad = 2.0 * np.einsum("nij,nj->ni", mats, z)
-        return (f(z[:, None, :])[:, 0],) + _tangent(z, basis, grad, 2.0 * mats)
+    def model(z, basis, rows=slice(None)):
+        grad = 2.0 * np.einsum("nij,nj->ni", mats[rows], z)
+        return (f(z[:, None, :], rows)[:, 0],) + _tangent(z, basis, grad, 2.0 * mats[rows])
 
     return mats, f, model
 
@@ -341,9 +341,9 @@ def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
         objective_calls.append(z.shape)
         return f(z)
 
-    def recording_model(z, basis):
-        model_calls.append((z.shape, basis.shape))
-        return model(z, basis)
+    def recording_model(z, basis, *rows):
+        model_calls.append((z.shape, basis.shape, *rows))
+        return model(z, basis, *rows)
 
     results = maximize_batch(recording, 6, cfg, recording_model)
     for m, res in zip(mats, results):
@@ -353,10 +353,16 @@ def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
         assert abs(res.value - np.linalg.eigvalsh(m)[-1]) <= 4e-15
     # f serves the lattice pass alone (in chunks of 8192 // 6 = 1365
     # columns); the polish makes one model call at the incumbents and one
-    # per trial, the last row to finish setting the count
+    # per trial, on the rows that step, which are named whenever they are
+    # not all six; every trial is accepted, so the k-th trial call holds
+    # the rows of at least k steps
     chunks = [200] if grid_points == 200 else [1365, 635]
     assert objective_calls == [(6, k, 3) for k in chunks]
-    assert model_calls == [((6, 3), (6, 3, 2))] * (1 + max(res.newton_steps for res in results))
+    expected = [((6, 3), (6, 3, 2))]
+    for k in range(1, 1 + max(res.newton_steps for res in results)):
+        rows = [i for i, res in enumerate(results) if res.newton_steps >= k]
+        expected.append(((len(rows), 3), (len(rows), 3, 2)) + ((rows,) if len(rows) < 6 else ()))
+    assert model_calls == expected
 
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
@@ -377,8 +383,8 @@ def test_reported_value_is_the_objective_at_the_axis(kind, hemisphere):
 def _tangent_scaled(model, factor):
     """The model with its tangent gradient scaled by ``factor``."""
 
-    def scaled(z, basis):
-        value, grad, hess = model(z, basis)
+    def scaled(z, basis, *rows):
+        value, grad, hess = model(z, basis, *rows)
         return value, factor * grad, hess
 
     return scaled
@@ -398,8 +404,8 @@ def _rotated(f, mats, angle):
         )
         turned.append(rot @ m @ rot.T)
     turned = np.array(turned)
-    return lambda z, basis: (f(z[:, None])[:, 0],) + _tangent(
-        z, basis, 2.0 * np.einsum("nij,nj->ni", turned, z), 2.0 * turned
+    return lambda z, basis, rows=slice(None): (f(z[:, None], rows)[:, 0],) + _tangent(
+        z, basis, 2.0 * np.einsum("nij,nj->ni", turned[rows], z), 2.0 * turned[rows]
     )
 
 
@@ -417,7 +423,7 @@ def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
     mats, f, model = _quadratic_batch(3, 131)
     cfg = SphereOptConfig(hemisphere=True)
 
-    def undefined(z, basis):
+    def undefined(z, basis, rows=None):
         return f(z[:, None])[:, 0], np.full((len(z), 2), np.nan), np.full((len(z), 2, 2), np.nan)
 
     bad = {
@@ -438,10 +444,11 @@ def test_cap_rounds_evaluate_the_uncertified_rows_only():
     mats, f, model = _quadratic_batch(6, 127)
     open_rows = [1, 4]
 
-    def partly_undefined(z, basis):  # rows 1 and 4 cannot be certified
-        value, grad, hess = model(z, basis)
-        grad[open_rows] = np.nan
-        hess[open_rows] = np.nan
+    def partly_undefined(z, basis, rows=range(6)):  # rows 1 and 4 cannot be certified
+        value, grad, hess = model(z, basis, list(rows))
+        open_here = np.isin(rows, open_rows)
+        grad[open_here] = np.nan
+        hess[open_here] = np.nan
         return value, grad, hess
 
     calls = []
