@@ -272,8 +272,11 @@ def _correlation_model(r, s, c, z: np.ndarray, basis: np.ndarray):
         smooth = min(t_row[3], t_row[5], xp, xm) >= _SMOOTH_FLOOR
         rows.append((t_row, w, s_row, c_row, z_row, b_row, up, um, xp, xm) if smooth else None)
     t = np.array(args).reshape(-1, 6)
+    # _xlog2 first: it clamps t in place, and np.log2 warns on a t <= 0
+    xlogs = _xlog2(t).tolist()
+    logs = np.log2(t).tolist()
     value, out = [], []
-    for (x0, x1, x2, x3, x4, x5), log_t, row in zip(_xlog2(t).tolist(), np.log2(t).tolist(), rows):
+    for (x0, x1, x2, x3, x4, x5), log_t, row in zip(xlogs, logs, rows):
         half = 0.5 * (x0 + x1)  # _combine's order
         value.append(-half + 0.5 * (0.5 * (x2 + x3)) + 0.5 * (0.5 * (x4 + x5)))
         out += _NAN_ROW if row is None else _tangent_derivatives(log_t, *row)

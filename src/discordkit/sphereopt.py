@@ -27,9 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
-_NEXT = np.array([1, 2, 0])
-_AFTER = np.array([2, 0, 1])
-_EYE = np.eye(3)
 # Newton polish, straight from the lattice pass: each step is at most the
 # first cap radius long; a row is certified when its tangent gradient norm
 # is at most _GRADIENT_TOL, its tangent Hessian has every eigenvalue below
@@ -143,23 +140,6 @@ def _row_best(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     return values[rows, first], points[rows, first]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (n, 3) arrays: component i is
-    a[i+1] * b[i+2] - a[i+2] * b[i+1], indices mod 3."""
-    a_next, a_after = a.take(_NEXT, axis=1), a.take(_AFTER, axis=1)
-    return a_next * b.take(_AFTER, axis=1) - a_after * b.take(_NEXT, axis=1)
-
-
-def _tangent_bases(u: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent pairs e1, e2 at the unit rows of ``u``, as (n, 3, 2) columns."""
-    e1 = _cross(u, _EYE.take(np.argmin(np.abs(u), axis=1), axis=0))
-    # (1, 3) @ (3, 1) runs the same BLAS dot as norm() of one 3-vector, so the
-    # batched basis matches the serial one of tests/_oracles.py::_serial_cap_grid
-    # bit for bit
-    e1 /= np.sqrt(np.matmul(e1[:, None, :], e1[:, :, None]))[:, 0]
-    return np.stack([e1, _cross(u, e1)], axis=2)
-
-
 def _cap_grids(
     centers: np.ndarray,
     radius: float,
@@ -170,10 +150,11 @@ def _cap_grids(
     each center, shape (n, m, 3); with the hemisphere restriction,
     spill-over points are replaced by their antipodes.  ``spiral`` holds
     the (m, 1) columns sqrt(j/m), cos(j * golden angle) and
-    sin(j * golden angle), j = k + 1/2."""
+    sin(j * golden angle), j = k + 1/2.  Each cap spans the tangent pair
+    of :func:`_tangent_pair` at its center."""
     root, cos_ang, sin_ang = spiral
     dist = radius * root
-    basis = _tangent_bases(centers)[:, None]
+    basis = np.array([_tangent_pair(u) for u in centers.tolist()]).reshape(-1, 1, 3, 2)
     pts = np.cos(dist) * centers[:, None, :] + np.sin(dist) * (
         cos_ang * basis[..., 0] + sin_ang * basis[..., 1]
     )
@@ -186,8 +167,8 @@ def _cap_grids(
 def _tangent_pair(u: list[float]) -> tuple[float, ...]:
     """An orthonormal tangent pair e1, e2 at the unit axis ``u``, in Python
     floats and as its (3, 2) columns flattened row by row: e1 = u x e_k for
-    the e_k least aligned with u, normalized, then e2 = u x e1.  The same
-    pair as :func:`_tangent_bases` up to the last bit of the normalization."""
+    the e_k least aligned with u, normalized, then e2 = u x e1.  The frame
+    of the Newton polish and the cap grids."""
     u0, u1, u2 = u
     a0, a1, a2 = abs(u0), abs(u1), abs(u2)
     if a0 <= a1 and a0 <= a2:  # argmin's first minimum

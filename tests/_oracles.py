@@ -379,7 +379,8 @@ def _serial_cap_grid(center, radius, m, hemisphere):
     helper = np.zeros(3)
     helper[pick] = 1.0
     e1 = np.cross(center, helper)
-    e1 /= np.linalg.norm(e1)
+    # the package's rounding of |e1|: a left-to-right sum of squares
+    e1 /= np.sqrt((e1[0] * e1[0] + e1[1] * e1[1]) + e1[2] * e1[2])
     e2 = np.cross(center, e1)
     j = np.arange(m) + 0.5
     dist = radius * np.sqrt(j / m)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 import tomllib
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import discordkit
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 SRC = ROOT / "src" / "discordkit"
 
 
@@ -17,6 +19,16 @@ def test_version_matches_pyproject():
     with PYPROJECT.open("rb") as fh:
         project = tomllib.load(fh)["project"]
     assert discordkit.__version__ == project["version"]
+
+
+def test_readme_notes_only_the_current_version():
+    # older release notes live in CHANGES.md and git; the README states the
+    # current contract and the changes of this version alone
+    headings = [
+        line for line in README.read_text(encoding="utf-8").splitlines()
+        if re.match(r"## (API c|C)hanges in ", line)
+    ]
+    assert headings == [f"## Changes in {discordkit.__version__}"]
 
 
 def test_all_is_sorted_unique_and_resolves():

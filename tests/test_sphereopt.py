@@ -10,6 +10,7 @@ from discordkit import (
     maximize_batch,
     maximize_on_sphere,
 )
+from discordkit.sphereopt import _GOLDEN_ANGLE, _cap_grids, _tangent_pair
 
 from _oracles import serial_sphere_search
 
@@ -152,6 +153,54 @@ def test_result_type_and_count():
     assert isinstance(res, OptResult)
     assert res.evaluations == 100 + 3 * 16
 
+
+# Axes whose |components| tie for the least aligned one, so that the
+# helper axis e_k is argmin's first minimum, with -0.0 and 0.0 components.
+_TIED_AXES = [
+    np.ones(3) / np.sqrt(3.0),
+    np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+    np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0),
+    np.array([1.0, 0.0, 0.0]),
+    np.array([0.0, 0.0, 1.0]),
+    np.array([-0.0, 0.0, -1.0]),
+    np.array([0.0, -1.0, -0.0]),
+    np.array([-1.0, -0.0, 0.0]),
+]
+_DRAWN_AXES = [u / np.linalg.norm(u) for u in np.random.default_rng(137).normal(size=(6, 3))]
+
+
+@pytest.mark.parametrize(
+    "u",
+    _TIED_AXES + _DRAWN_AXES,
+    ids=[f"tied{k}" for k in range(8)] + [f"drawn{k}" for k in range(6)],
+)
+def test_tangent_pair_is_the_frame_from_the_first_least_aligned_axis(u):
+    e1, e2 = np.array(_tangent_pair(u.tolist())).reshape(3, 2).T
+    assert abs(e1 @ u) <= 1e-15
+    assert np.array_equal(e2, np.cross(u, e1))
+    assert abs(np.linalg.norm(e1) - 1.0) <= 1e-15
+    assert abs(np.linalg.norm(e2) - 1.0) <= 1e-15
+    # e1 = u x e_k, normalized, for the first k that minimizes |u_k|
+    k = int(np.argmin(np.abs(u)))
+    helper = np.cross(u, np.eye(3)[k])
+    assert e1[k] == 0.0
+    np.testing.assert_allclose(e1, helper / np.linalg.norm(helper), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_cap_grids_at_tied_centers_are_unit_caps(hemisphere):
+    centers, radius, m = np.array(_TIED_AXES), 0.3, 64
+    j = (np.arange(m) + 0.5)[:, None]
+    spiral = (np.sqrt(j / m), np.cos(j * _GOLDEN_ANGLE), np.sin(j * _GOLDEN_ANGLE))
+    pts = _cap_grids(centers, radius, spiral, hemisphere)
+    assert pts.shape == (len(centers), m, 3)
+    assert np.abs(np.linalg.norm(pts, axis=2) - 1.0).max() <= 1e-15
+    cos = np.einsum("nmi,ni->nm", pts, centers)
+    if hemisphere:
+        # spill-over points are folded to their antipodes
+        assert np.all(pts[:, :, 2] >= 0.0)
+        cos = np.abs(cos)
+    assert np.arccos(np.clip(cos, -1.0, 1.0)).max() <= radius + 1e-12
 
 
 def _row_objectives(kind: str, n: int):
