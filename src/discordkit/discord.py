@@ -83,8 +83,8 @@ class ThetaInterval(NamedTuple):
 def theta_range(r_norm: float, c: float) -> ThetaInterval:
     """Range of theta = |r + c z|^2 over unit axes z:
     [(|r|-|c|)^2, (|r|+|c|)^2]."""
-    if not r_norm >= 0:
-        raise ValueError("r_norm must be nonnegative")
+    if not 0 <= r_norm < np.inf:  # written so that NaN fails
+        raise ValueError("r_norm must be nonnegative and finite")
     if not np.isfinite(c):
         raise ValueError("c must be finite")
     return ThetaInterval((r_norm - abs(c)) ** 2, (r_norm + abs(c)) ** 2)
@@ -291,9 +291,9 @@ def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     r, s, c = (np.stack([getattr(p, k) for p in states]) for k in "rsc")
     lists = r.tolist(), s.tolist(), c.tolist()
 
-    def model(z, basis, rows=None):
+    def model(z, pairs, rows=None):
         picked = lists if rows is None else ([v[i] for i in rows] for v in lists)
-        return _correlation_model(*picked, z, basis)
+        return _correlation_model(*picked, z, pairs)
 
     cfg = _SEARCH_CONFIG if cfg is None else replace(cfg, hemisphere=True)
     return maximize_batch(

@@ -87,17 +87,23 @@ class Ensemble:
         self.states.setflags(write=False)
 
 
-def _check_axis(z: np.ndarray) -> None:
+def _check_axis(axis, batch: bool = False) -> np.ndarray:
+    """``axis`` as a float array, shape (3,) or, for a ``batch``, (n, 3)
+    (else ``ValueError``), of unit rows (else ``NormError``)."""
+    z = np.asarray(axis, dtype=float)
+    if z.shape != (3,) and not (batch and z.ndim == 2 and z.shape[1] == 3):
+        shapes = "(3,) or (n, 3)" if batch else "(3,)"
+        raise ValueError(f"measurement axis must have shape {shapes}, got shape {z.shape}")
     norms = np.linalg.norm(z, axis=-1)
     dev = float(np.max(np.abs(norms - 1.0), initial=0.0))
     if not dev <= _AXIS_NORM_TOL:  # written so that NaN fails
         raise NormError(f"measurement axis norm deviates from 1 by {dev:.3e}")
+    return z
 
 
-def _branch_data(params: BlochParams, axis: np.ndarray):
+def _branch_data(params: BlochParams, axis):
     """Probabilities and unnormalized Bloch vectors of the two branches."""
-    axis = np.asarray(axis, dtype=float)
-    _check_axis(axis)
+    axis = _check_axis(axis)
     w = float(params.s @ axis)
     probs = np.array([(1.0 + w) / 2.0, (1.0 - w) / 2.0])
     vecs = np.stack([params.r + params.c * axis, params.r - params.c * axis])
@@ -143,8 +149,7 @@ def conditional_entropy(params: BlochParams, axis: np.ndarray) -> float:
 
 
 def _axes_2d(axis) -> tuple[np.ndarray, bool]:
-    z = np.asarray(axis, dtype=float)
-    _check_axis(z)
+    z = _check_axis(axis, batch=True)
     if z.ndim == 1:
         return z[None, :], True
     return z, False
@@ -226,14 +231,13 @@ def _combine(xlog: np.ndarray) -> np.ndarray:
     return value
 
 
-def _correlation_model(r, s, c, z: np.ndarray, basis: np.ndarray):
-    """Value (n,), tangent gradient (n, 2) and Riemannian Hessian (n, 2, 2)
-    of the objective of :func:`_correlation_kernel` at one axis per state,
-    z of shape (n, 3), in orthonormal tangent bases B (``basis``, (n, 3, 2))
-    at z, from one set of log arguments.  ``r``, ``s`` and ``c`` hold the
-    states' n rows, each three numbers: the search passes lists of Python
-    floats, converted once per search (numpy rows give the same values,
-    at the cost of arithmetic on numpy scalars).
+def _correlation_model(r, s, c, z, pairs):
+    """Values and derivatives of the objective of :func:`_correlation_kernel`
+    at one axis per state, from one set of log arguments, under
+    :func:`sphereopt.maximize_batch`'s model contract: n axes ``z`` and
+    tangent ``pairs`` in, n values and n (g1, g2, h11, h12, h21, h22) out,
+    all rows of Python floats.  ``r``, ``s`` and ``c`` hold the states' n
+    rows the same way; the search converts them once.
 
     Each row's six log arguments are formed in Python floats in exactly
     :func:`_log_arguments`' operation order, all rows go through one
@@ -255,9 +259,7 @@ def _correlation_model(r, s, c, z: np.ndarray, basis: np.ndarray):
     with a log argument or x+- below 1e-3 get NaN derivatives.
     """
     rows, args = [], []
-    for (r0, r1, r2), s_row, c_row, z_row, b_row in zip(
-        r, s, c, z.tolist(), basis.reshape(-1, 6).tolist()
-    ):
+    for (r0, r1, r2), s_row, c_row, z_row, pair in zip(r, s, c, z, pairs):
         (s0, s1, s2), (c0, c1, c2), (z0, z1, z2) = s_row, c_row, z_row
         w = (s0 * z0 + s1 * z1) + s2 * z2
         cz0, cz1, cz2 = c0 * z0, c1 * z1, c2 * z2
@@ -270,27 +272,26 @@ def _correlation_model(r, s, c, z: np.ndarray, basis: np.ndarray):
         args += t_row
         # on the raw t: _xlog2 sets a clamped argument to 1, which looks smooth
         smooth = min(t_row[3], t_row[5], xp, xm) >= _SMOOTH_FLOOR
-        rows.append((t_row, w, s_row, c_row, z_row, b_row, up, um, xp, xm) if smooth else None)
+        rows.append((t_row, w, s_row, c_row, z_row, pair, up, um, xp, xm) if smooth else None)
     t = np.array(args).reshape(-1, 6)
     # _xlog2 first: it clamps t in place, and np.log2 warns on a t <= 0
     xlogs = _xlog2(t).tolist()
     logs = np.log2(t).tolist()
-    value, out = [], []
+    values, derivatives = [], []
     for (x0, x1, x2, x3, x4, x5), log_t, row in zip(xlogs, logs, rows):
         half = 0.5 * (x0 + x1)  # _combine's order
-        value.append(-half + 0.5 * (0.5 * (x2 + x3)) + 0.5 * (0.5 * (x4 + x5)))
-        out += _NAN_ROW if row is None else _tangent_derivatives(log_t, *row)
-    out = np.array(out).reshape(-1, 6)
-    return np.array(value), out[:, :2], out[:, 2:].reshape(-1, 2, 2)
+        values.append(-half + 0.5 * (0.5 * (x2 + x3)) + 0.5 * (0.5 * (x4 + x5)))
+        derivatives.append(_NAN_ROW if row is None else _tangent_derivatives(log_t, *row))
+    return values, derivatives
 
 
-def _tangent_derivatives(log_t, t, w, s, c, z, basis, up, um, xp, xm):
+def _tangent_derivatives(log_t, t, w, s, c, z, pair, up, um, xp, xm):
     """One row of :func:`_correlation_model`'s derivatives, in Python
     floats: the tangent gradient and the Riemannian Hessian, flattened."""
     l0, l1, l2, l3, l4, l5 = log_t
     t0, t1, t2, t3, t4, t5 = t
     (s0, s1, s2), (c0, c1, c2), (z0, z1, z2) = s, c, z
-    b00, b01, b10, b11, b20, b21 = basis
+    b00, b01, b10, b11, b20, b21 = pair
     # g = J^T a log2(t) = (g_w, g+, g-), and k+-
     gw = 0.5 * (l1 - l0) + 0.25 * ((l2 + l3) - (l4 + l5))
     gp, gm = 0.25 * (l2 - l3), 0.25 * (l4 - l5)

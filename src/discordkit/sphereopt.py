@@ -42,11 +42,12 @@ _VALUE_SLACK = 1e-15
 _AXIS_BUDGET = 8192
 
 
-def _check_count(name: str, n) -> None:
-    """A point or round count is an integer of at least 1; numpy integers
-    pass, booleans (an ``Integral`` in Python) do not."""
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+def _check_count(name: str, n, least: int = 1) -> None:
+    """A point, round or search count is an integer of at least ``least``;
+    numpy integers pass, booleans (an ``Integral`` in Python) do not."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least):
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -182,16 +183,6 @@ def _tangent_pair(u: list[float]) -> tuple[float, ...]:
     return (f0, u1 * f2 - u2 * f1, f1, u2 * f0 - u0 * f2, f2, u0 * f1 - u1 * f0)
 
 
-def _evaluate_model(model, z: list, pairs: list, rows=None) -> tuple[list, list, list]:
-    """``model`` on the rows ``z`` and their flat tangent ``pairs``, as
-    lists: the values, the gradients and the Hessians flattened row by row.
-    ``rows``, unless None, names the searches ``z`` belongs to."""
-    n = len(z)
-    args = np.array(z), np.array(pairs).reshape(n, 3, 2)
-    value, grad, hess = model(*args) if rows is None else model(*args, rows)
-    return value.tolist(), grad.tolist(), hess.reshape(n, 4).tolist()
-
-
 def _newton_polish(model, value, axis, hemisphere, max_step):
     """At most four Riemannian Newton steps from each row's lattice
     incumbent: a tangent basis and a ``model`` call there and per trial.
@@ -211,8 +202,8 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
     uncertified rows; their evaluations still count the trials.
 
     The rows step in lockstep, one ``model`` call per iterate on the rows
-    that moved (passed as ``rows`` when that is not every row), and each
-    live row's step is worked out in Python floats: numpy's per-call cost
+    that moved (passed as ``rows`` when that is not every row), and all of
+    it, the model's rows included, is Python floats: numpy's per-call cost
     on a handful of rows is what a search of one state would otherwise
     spend most of its polish on.
     """
@@ -224,13 +215,13 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
     steps, evaluations = [0] * n, [0] * n
     grad_norm, top = [math.nan] * n, [math.nan] * n
     live = range(n)
-    g, h = _evaluate_model(model, z, pairs)[1:]
+    derivatives = list(model(z, pairs)[1])
     for k in range(_NEWTON_STEPS + 1):
         concave = []
         for i in live:
-            a, b, _, d = h[i]
+            g0, g1, a, b, _, d = derivatives[i]
             lam = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-            norm = grad_norm[i] = math.hypot(*g[i])
+            norm = grad_norm[i] = math.hypot(g0, g1)
             if not lam < -_CURVATURE_TOL:
                 continue
             # the quadratic model's rise above z, g.(-h)^{-1} g / 2, is at most
@@ -245,8 +236,7 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
         # the Newton step -h^{-1} g; concave rows have a d - b^2 > 1e-16
         moved, trial, trial_pairs = [], [], []
         for i in concave:
-            a, b, _, d = h[i]
-            g0, g1 = g[i]
+            g0, g1, a, b, _, d = derivatives[i]
             det = a * d - b * b
             step0, step1 = (b * g1 - d * g0) / det, (b * g0 - a * g1) / det
             if not math.hypot(step0, step1) <= max_step:
@@ -266,14 +256,14 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
         if not moved:
             break
         # the trials' values and, where accepted, the next derivatives
-        outputs = _evaluate_model(model, trial, trial_pairs, moved if len(moved) < n else None)
+        outputs = model(trial, trial_pairs) if len(moved) == n else model(trial, trial_pairs, moved)
         live = []
-        for i, u, pair, u_value, u_grad, u_hess in zip(moved, trial, trial_pairs, *outputs):
+        for i, u, pair, u_value, u_derivatives in zip(moved, trial, trial_pairs, *outputs):
             evaluations[i] += 1
             if not u_value >= best[i] - _VALUE_SLACK:
                 continue
             steps[i] += 1
-            z[i], pairs[i], g[i], h[i] = u, pair, u_grad, u_hess
+            z[i], pairs[i], derivatives[i] = u, pair, u_derivatives
             live.append(i)
             if u_value > best[i]:
                 best[i], best_z[i] = u_value, u
@@ -303,20 +293,21 @@ def maximize_batch(
     :class:`OptResult` per row, in order.
 
     Without ``model`` every row runs all ``refine_rounds`` cap rounds.
-    ``model(z, basis)`` takes (n, 3) unit rows z and orthonormal tangent
-    bases B (n, 3, 2) at them, and returns the objectives' values (n,), bit
-    for bit those of ``f``, tangent gradients B^T grad (n, 2) and Riemannian
-    Hessians B^T H B - (z . grad) I (n, 2, 2), NaN where undefined.  With
-    it, at most four Newton steps polish each row's lattice incumbent, one
-    model call per step and none of ``f``, each step no longer than the
-    first cap radius min(pi/2, 10/sqrt(grid_points)).  A row whose local
-    maximum they certify stops there; every other row runs the plain rounds
-    from its lattice incumbent, and so ends exactly where a search without
-    a model ends.  Both evaluate only the rows that need it, under one
-    convention: a call on fewer than all n rows passes the ascending search
-    indices ``rows`` last, with one block of input per row in that order.
-    So a step calls ``model(z, basis, rows)`` on the rows it moved, z of
-    shape (len(rows), 3), and while some row is certified the rounds call
+    ``model(z, pairs)`` takes Python floats: k unit axes z, each a list of
+    3 floats, and orthonormal tangent pairs (e1x, e2x, e1y, e2y, e1z, e2z)
+    at them.  It returns k values, bit for bit those of ``f``, and per axis
+    (g1, g2, h11, h12, h21, h22): the tangent gradient B^T grad and the
+    Riemannian Hessian B^T H B - (z . grad) I in B = [e1 e2], NaN where
+    undefined.  With it, at most four Newton steps polish each row's
+    lattice incumbent, one model call per step and none of ``f``, each step
+    no longer than the first cap radius min(pi/2, 10/sqrt(grid_points)).  A
+    row whose local maximum they certify stops there; every other row runs
+    the plain rounds from its lattice incumbent, and so ends exactly where
+    a search without a model ends.  Both evaluate only the rows that need
+    it, under one convention: a call on fewer than all n rows passes the
+    ascending search indices ``rows`` last, with one block of input per row
+    in that order.  So a step calls ``model(z, pairs, rows)`` on the rows
+    it moved, and while some row is certified the rounds call
     ``f(points, rows)``, points of shape (len(rows), m, 3).
 
     A row keeps the first point that reaches its highest value: the first
@@ -324,9 +315,10 @@ def maximize_batch(
     only where its value is strictly higher.  So each reported value is
     the objective at the reported axis, bit for bit.
     """
+    _check_count("n", n, least=0)
     if cfg is None:
         cfg = SphereOptConfig()
-    if n < 1:
+    if n == 0:
         return []
     grid = _lattice(cfg.grid_points, cfg.hemisphere)
     width = max(1, _AXIS_BUDGET // n)

@@ -325,11 +325,12 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
         calls.append(args[-1].copy())
         return kernel(*args)
 
-    def recording_model(r, s, c, z, basis):
-        # the basis is the tangent pair at this iterate, not a stale one
-        assert np.abs(np.einsum("nia,ni->na", basis, z)).max() <= 1e-15
-        model_calls.append((z.shape, basis.shape))
-        return model(r, s, c, z, basis)
+    def recording_model(r, s, c, z, pairs):
+        # the pair is the tangent pair at this iterate, not a stale one
+        basis = np.array(pairs).reshape(-1, 3, 2)
+        assert np.abs(np.einsum("nia,ni->na", basis, np.array(z))).max() <= 1e-15
+        model_calls.append((len(z), len(pairs)))
+        return model(r, s, c, z, pairs)
 
     monkeypatch.setattr(discord_module, "_correlation_kernel", recording)
     monkeypatch.setattr(discord_module, "_correlation_model", recording_model)
@@ -345,7 +346,7 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     assert all(np.array_equal(z, np.broadcast_to(z[:1], z.shape)) for z in calls)
     lattice = fibonacci_grid(SphereOptConfig().grid_points)  # the hemisphere
     assert np.array_equal(np.concatenate([z[0] for z in calls]), lattice)
-    assert model_calls == [((11, 3), (11, 3, 2))] * 3 + [((5, 3), (5, 3, 2))]
+    assert model_calls == [(11, 11)] * 3 + [(5, 5)]
 
 
 @pytest.mark.parametrize("c3", [0.3, 0.5, 0.8])

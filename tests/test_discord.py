@@ -141,6 +141,10 @@ def test_theta_range_values():
     assert theta_range(0.4, 0.0) == pytest.approx((0.16, 0.16))
     with pytest.raises(ValueError, match="c must be finite"):
         theta_range(0.3, np.inf)
+    # an infinite |r| would give the interval (inf, inf); NaN fails as well
+    for bad in (np.inf, -np.inf, np.nan, -0.1):
+        with pytest.raises(ValueError, match="r_norm must be nonnegative and finite"):
+            theta_range(bad, 0.3)
 
 
 def test_reduced_objective_equal_at_interval_ends():
@@ -994,12 +998,13 @@ def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
         calls.append(args[-1].shape)
         return kernel(*args)
 
-    def counting_model(r, s, c, z, basis):
-        # the basis is the tangent pair at this iterate, not a stale one
-        assert np.abs(np.einsum("nia,ni->na", basis, z)).max() <= 1e-15
+    def counting_model(r, s, c, z, pairs):
+        # the pair is the tangent pair at this iterate, not a stale one
+        basis = np.array(pairs).reshape(-1, 3, 2)
+        assert np.abs(np.einsum("nia,ni->na", basis, np.array(z))).max() <= 1e-15
         before = len(xlog_calls)
-        out = model(r, s, c, z, basis)
-        model_calls.append((z.shape, basis.shape, xlog_calls[before:]))
+        out = model(r, s, c, z, pairs)
+        model_calls.append((len(z), len(pairs), xlog_calls[before:]))
         return out
 
     def counting_xlog2(t):
@@ -1022,14 +1027,14 @@ def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
         trials = res.evaluations - 2000
         assert res.refine_rounds == 0 and 1 <= trials <= 4
         assert calls == [(1, 2000, 3)]
-        assert model_calls == [((1, 3), (1, 3, 2), [(1, 6)])] * (1 + trials)
+        assert model_calls == [(1, 1, [(1, 6)])] * (1 + trials)
     # in a batch, too, each model call makes one _xlog2 pass for all its rows:
     # every row at the incumbents, then the rows each trial moves
     model_calls.clear()
     discord_module._correlation_search(pool[:8], None)
-    assert model_calls[0] == ((8, 3), (8, 3, 2), [(8, 6)])
-    for (k, _), basis_shape, xlog_shapes in model_calls:
-        assert 1 <= k <= 8 and basis_shape == (k, 3, 2) and xlog_shapes == [(k, 6)]
+    assert model_calls[0] == (8, 8, [(8, 6)])
+    for k, pairs, xlog_shapes in model_calls:
+        assert 1 <= k <= 8 and pairs == k and xlog_shapes == [(k, 6)]
 
 
 def test_polish_from_a_coarse_lattice_keeps_global_reach():

@@ -1,6 +1,8 @@
 """Tests for the measurement parametrization, post-measurement ensembles,
 conditional entropy and the correlation objectives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,39 @@ def test_axis_rejects_bad_norm():
     ):
         with pytest.raises(NormError):
             call()
+
+
+def test_axis_rejects_bad_shapes():
+    # a unit 2-vector passes the norm check, a scalar has no last axis: the
+    # shape is checked first, in the objectives' (3,) or (n, 3) and the
+    # branch routes' (3,), so numpy never sees a mismatched operand
+    params = BlochParams([0.1, 0.0, 0.2], [0.0, 0.3, 0.1], [0.2, -0.1, 0.3])
+    objectives = (
+        lambda z: correlation_objective(params, z),
+        lambda z: damped_correlation_objective(params, 0.3, z),
+    )
+    branches = (
+        lambda z: post_measurement_ensemble(params, z),
+        lambda z: conditional_entropy(params, z),
+    )
+    column = [[0.0], [0.0], [1.0]]
+    for bad, shape in (([1.0, 0.0], "(2,)"), (1.0, "()"), (column, "(3, 1)"),
+                       ([[[0.0, 0.0, 1.0]]], "(1, 1, 3)")):
+        for call in objectives:
+            with pytest.raises(ValueError, match=re.escape(f"(3,) or (n, 3), got shape {shape}")):
+                call(bad)
+        for call in branches:
+            with pytest.raises(ValueError, match=re.escape(f"shape (3,), got shape {shape}")):
+                call(bad)
+    for call in branches:
+        with pytest.raises(ValueError, match=re.escape("got shape (2, 3)")):
+            call([[0.0, 0.0, 1.0]] * 2)
+    # the shapes that pass
+    batch = correlation_objective(params, [[0.0, 0.0, 1.0]] * 2)
+    assert batch.shape == (2,) and batch[0] == correlation_objective(params, [0.0, 0.0, 1.0])
+    assert damped_correlation_objective(params, 0.3, [[0.0, 0.0, 1.0]]).shape == (1,)
+    for call in branches:
+        call([0.0, 0.0, 1.0])
 
 
 def test_ensemble_equal_probabilities_for_zero_s():
@@ -301,13 +336,24 @@ def _bases(z):
     return np.stack([e1, np.cross(z, e1)], axis=2)
 
 
+def _model(r, s, c, z):
+    """:func:`_correlation_model` at the unit rows of z, in the tangent pairs
+    of :func:`_bases`, handed over as float rows; returns the values (n,),
+    tangent gradients (n, 2) and Riemannian Hessians (n, 2, 2) as arrays."""
+    values, derivatives = _correlation_model(
+        r.tolist(), s.tolist(), c.tolist(), z.tolist(), _bases(z).reshape(-1, 6).tolist()
+    )
+    derivatives = np.array(derivatives).reshape(-1, 6)
+    return np.array(values), derivatives[:, :2], derivatives[:, 2:].reshape(-1, 2, 2)
+
+
 def test_correlation_derivatives_match_central_differences():
     rng = np.random.default_rng(269)
     r, s, c = _stacked(draw_general_batch(rng, 40))
     z = rng.normal(size=(40, 3))
     z /= np.linalg.norm(z, axis=1)[:, None]
     basis = _bases(z)
-    _, grad, hess = _correlation_model(r, s, c, z, basis)
+    _, grad, hess = _model(r, s, c, z)
 
     def g(shift):  # the kernel at the retraction normalize(z + B shift), one axis per state
         moved = z + basis @ shift
@@ -342,7 +388,7 @@ def test_correlation_derivatives_are_nan_where_undefined():
         BlochParams([0.1, 0, 0.2], [0, 0.1, 0], [0.3, 0.2, 0.1]),
     ]
     z = np.tile([0.0, 0.0, 1.0], (3, 1))
-    value, grad, hess = _correlation_model(*_stacked(states), z, _bases(z))
+    value, grad, hess = _model(*_stacked(states), z)
     assert grad.shape == (3, 2) and hess.shape == (3, 2, 2)
     assert np.isnan(grad[:2]).all() and np.isnan(hess[:2]).all()
     assert np.isfinite(grad[2]).all() and np.isfinite(hess[2]).all()
@@ -370,8 +416,7 @@ def test_correlation_model_value_is_the_kernels_bit_for_bit():
         values = _correlation_kernel(r, s, c, axes)
         for j in range(axes.shape[1]):
             z = axes[:, j]
-            value = _correlation_model(r, s, c, z, _bases(z))[0]
-            np.testing.assert_array_equal(value, values[:, j])
+            np.testing.assert_array_equal(_model(r, s, c, z)[0], values[:, j])
 
     check(np.repeat(fibonacci_grid(2000)[None, ::9], n, axis=0))  # the lattice pass
     centers = np.stack([_random_axis(rng) for _ in range(n)])
@@ -390,11 +435,11 @@ def test_correlation_model_keeps_the_kernels_floor(eps, raises):
     z = np.array([[0.6, 0.0, 0.8]])
     if raises:
         for call in (lambda: _correlation_kernel(r, s, c, z[:, None]),
-                     lambda: _correlation_model(r, s, c, z, _bases(z))):
+                     lambda: _model(r, s, c, z)):
             with pytest.raises(DomainError, match="log argument"):
                 call()
     else:
-        value = _correlation_model(r, s, c, z, _bases(z))[0]
+        value = _model(r, s, c, z)[0]
         assert value == _correlation_kernel(r, s, c, z[:, None])[:, 0]
 
 
@@ -471,7 +516,7 @@ def test_kernel_value_depends_on_its_axis_only(monkeypatch):
 
     def recording_model(*args):  # the Newton iterates: one axis per moved state
         out = _correlation_model(*args)
-        seen.append((np.array(args[0]), args[3][:, None].copy(), out[0][:, None]))
+        seen.append((np.array(args[0]), np.array(args[3])[:, None], np.array(out[0])[:, None]))
         return out
 
     monkeypatch.setattr(discord_module, "_correlation_kernel", recording)

@@ -1,5 +1,7 @@
 """Tests for the Fibonacci lattice and the deterministic sphere maximizer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,12 @@ def test_batch_of_zero_searches_calls_nothing():
         raise AssertionError("objective called")
 
     assert maximize_batch(never, 0) == []
+    assert maximize_batch(never, np.int64(0)) == []
+    # a search count is a non-negative integer, under the rule of every count
+    for bad in (-1, 2.5, True, np.float64(2.0), "3"):
+        message = f"n must be a non-negative integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            maximize_batch(never, bad)
 
 
 def _tangent(z, basis, grad, hess):
@@ -325,6 +333,19 @@ def _tangent(z, basis, grad, hess):
     radial = np.einsum("ni,ni->n", grad, z)[:, None, None] * np.eye(2)
     hess = np.einsum("nia,nij,njb->nab", basis, hess, basis) - radial
     return np.einsum("nia,ni->na", basis, grad), hess
+
+
+def _float_rows(model):
+    """``model``, written on arrays (z (k, 3) and bases (k, 3, 2) in; values,
+    gradients (k, 2) and Hessians (k, 2, 2) out), under maximize_batch's
+    contract of float rows in and out."""
+
+    def rows_model(z, pairs, *rows):
+        z = np.array(z)
+        value, grad, hess = model(z, np.array(pairs).reshape(len(z), 3, 2), *rows)
+        return value.tolist(), np.concatenate([grad, hess.reshape(-1, 4)], axis=1).tolist()
+
+    return rows_model
 
 
 def _quadratic_batch(n: int, seed: int):
@@ -358,7 +379,7 @@ def test_result_diagnostics_default_and_plain_rounds():
 def test_newton_polish_certifies_quadratic_maxima(hemisphere):
     mats, f, model = _quadratic_batch(6, 127)
     cfg = SphereOptConfig(hemisphere=hemisphere)
-    for m, res in zip(mats, maximize_batch(f, 6, cfg, model)):
+    for m, res in zip(mats, maximize_batch(f, 6, cfg, _float_rows(model))):
         lam, vec = np.linalg.eigh(m)
         # Newton starts from the lattice incumbent and finishes: no cap rounds
         assert res.refine_rounds == 0 and res.newton_steps >= 1
@@ -390,9 +411,9 @@ def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
         objective_calls.append(z.shape)
         return f(z)
 
-    def recording_model(z, basis, *rows):
-        model_calls.append((z.shape, basis.shape, *rows))
-        return model(z, basis, *rows)
+    def recording_model(z, pairs, *rows):
+        model_calls.append((len(z), *rows))
+        return _float_rows(model)(z, pairs, *rows)
 
     results = maximize_batch(recording, 6, cfg, recording_model)
     for m, res in zip(mats, results):
@@ -407,10 +428,10 @@ def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
     # the rows of at least k steps
     chunks = [200] if grid_points == 200 else [1365, 635]
     assert objective_calls == [(6, k, 3) for k in chunks]
-    expected = [((6, 3), (6, 3, 2))]
+    expected = [(6,)]
     for k in range(1, 1 + max(res.newton_steps for res in results)):
         rows = [i for i, res in enumerate(results) if res.newton_steps >= k]
-        expected.append(((len(rows), 3), (len(rows), 3, 2)) + ((rows,) if len(rows) < 6 else ()))
+        expected.append((len(rows),) + ((rows,) if len(rows) < 6 else ()))
     assert model_calls == expected
 
 
@@ -425,7 +446,7 @@ def test_reported_value_is_the_objective_at_the_axis(kind, hemisphere):
     if kind == "quadratic":
         # the Newton route: the axis of the running maximum, not the last iterate
         _, f, model = _quadratic_batch(6, 127)
-        for i, res in enumerate(maximize_batch(f, 6, cfg, model)):
+        for i, res in enumerate(maximize_batch(f, 6, cfg, _float_rows(model))):
             assert res.value == f(np.repeat(res.axis[None, None], 6, axis=0))[i, 0]
 
 
@@ -475,12 +496,12 @@ def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
     def undefined(z, basis, rows=None):
         return f(z[:, None])[:, 0], np.full((len(z), 2), np.nan), np.full((len(z), 2, 2), np.nan)
 
-    bad = {
+    bad = _float_rows({
         "undefined": undefined,
         "downhill": _tangent_scaled(model, -1.0),
         "overshooting": _tangent_scaled(model, 1e3),
         "misdirected": _rotated(f, mats, 0.3),
-    }[kind]
+    }[kind])
     for polished, plain in zip(maximize_batch(f, 3, cfg, bad), maximize_batch(f, 3, cfg)):
         assert polished.value == plain.value
         assert np.array_equal(polished.axis, plain.axis)
@@ -507,14 +528,34 @@ def test_cap_rounds_evaluate_the_uncertified_rows_only():
         return f(z) if rows is None else f(z, rows)
 
     cfg = SphereOptConfig()
-    results = maximize_batch(recording, 6, cfg, partly_undefined)
+    results = maximize_batch(recording, 6, cfg, _float_rows(partly_undefined))
     # the lattice pass takes every row (in chunks of 8192 // 6 = 1365
     # columns), each cap round the open rows alone
     assert calls == [((6, 1365, 3), None), ((6, 635, 3), None)] + [((2, 64, 3), open_rows)] * 40
-    polished, plain = maximize_batch(f, 6, cfg, model), maximize_batch(f, 6, cfg)
+    polished, plain = maximize_batch(f, 6, cfg, _float_rows(model)), maximize_batch(f, 6, cfg)
     for i, res in enumerate(results):
         expected = plain[i] if i in open_rows else polished[i]
         assert res.value == expected.value and np.array_equal(res.axis, expected.axis)
         assert res.evaluations == expected.evaluations
         assert res.refine_rounds == expected.refine_rounds
         assert res.newton_steps == expected.newton_steps
+
+
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_polish_hands_the_model_float_rows(hemisphere):
+    # the model contract is Python floats end to end: plain lists of axes,
+    # each a list of 3 floats, and at each the tangent pair of _tangent_pair
+    _, f, model = _quadratic_batch(6, 127)
+    seen = []
+
+    def checking(z, pairs, *rows):
+        assert type(z) is list and type(pairs) is list and len(pairs) == len(z)
+        for u, pair in zip(z, pairs):
+            assert type(u) is list and [type(x) for x in u] == [float] * 3
+            assert type(pair) is tuple and pair == _tangent_pair(u)
+        seen.append(len(z))
+        return _float_rows(model)(z, pairs, *rows)
+
+    results = maximize_batch(f, 6, SphereOptConfig(hemisphere=hemisphere), checking)
+    assert all(res.newton_steps >= 1 for res in results)
+    assert seen[0] == 6 and len(seen) == 1 + max(res.newton_steps for res in results)
