@@ -19,6 +19,7 @@ first: nonempty, square, finite and Hermitian.  All logarithms are base 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -194,18 +195,18 @@ def _isotropic_spectrum(norm: float, c: float) -> np.ndarray:
     """Eigenvalues of the uniform-c state whose one nonzero marginal
     (r, or s) has length ``norm``:
     (1+c+-norm, 1-c+-sqrt(4c^2+norm^2))/4, unsorted."""
-    big = np.sqrt(4 * c * c + norm * norm)
+    big = math.sqrt(4 * c * c + norm * norm)  # a float: an infinite c gives NaN, no warning
     return 0.25 * np.array([1 + c + norm, 1 + c - norm, 1 - c + big, 1 - c - big])
 
 
 def _planar_radii(r, c: float) -> tuple[float, float]:
     """Radii a+- = sqrt(2c^2 + |r|^2 +- 2 sqrt(c^4 + c^2 (r1^2 + r2^2))) of the
     s = 0, c3 = 0, c1 = c2 = c state, whose eigenvalues are (1 +- a+-)/4."""
-    r_sq = float(r @ r)
-    inner = np.sqrt(c**4 + c**2 * (r[0] ** 2 + r[1] ** 2))
+    r_sq = float(r @ r)  # floats: an infinite r or c gives NaN, no warning
+    inner = math.sqrt(c**4 + c**2 * float(r[0] ** 2 + r[1] ** 2))
     return (
-        np.sqrt(2 * c**2 + r_sq + 2 * inner),
-        np.sqrt(max(2 * c**2 + r_sq - 2 * inner, 0.0)),
+        math.sqrt(2 * c**2 + r_sq + 2 * inner),
+        math.sqrt(max(2 * c**2 + r_sq - 2 * inner, 0.0)),
     )
 
 

@@ -256,19 +256,25 @@ def discord_s0_planar(r, c: float) -> float:
     return float(0.5 * (h[0] + h[1] - h[2] - h[3]))
 
 
-def _mutual_informations(states, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mutual_informations(states, spectra: np.ndarray) -> tuple[list[float], list[float]]:
     """The mutual informations of ``states`` from their (n, 4) gated
-    spectra, and their H_0(|r|) terms, in one vectorized pass: one
-    :func:`entropic_h` call on the |r| and |s| of every state, and one
-    :func:`_xlog2` on a copy of the spectra, which counts eigenvalues below
-    1e-12 (the gate admits -1e-9) as zero.  Every operation is elementwise
-    or a sum within one state, so each value is the one of that state
-    alone, bit for bit."""
-    n = len(states)
-    h = entropic_h(0.0, np.array([p.r_norm for p in states] + [p.s_norm for p in states]))
-    h_r, h_s = h[:n], h[n:]
-    lam_terms = np.sum(_xlog2(spectra.copy()), axis=1)
-    return 2.0 - h_r - h_s + lam_terms, h_r
+    spectra, and their H_0(|r|) terms, as Python floats.  One
+    :func:`_xlog2` pass takes the 8n log arguments, per state 1 +- |r|,
+    1 +- |s| and the four eigenvalues (it counts those below 1e-12, which
+    the gate admits down to -1e-9, as zero); each state's terms then
+    combine in floats as H_0 = (a + b)/2 and I = 2 - H_0(|r|) - H_0(|s|) +
+    ((l0 + l1) + l2) + l3, the order of ``np.sum`` over a row.  So each
+    value is the one of that state alone, bit for bit."""
+    args = [
+        [1.0 + p.r_norm, 1.0 - p.r_norm, 1.0 + p.s_norm, 1.0 - p.s_norm, *lam]
+        for p, lam in zip(states, spectra.tolist())
+    ]
+    mutual, h_r = [], []
+    for x0, x1, x2, x3, l0, l1, l2, l3 in _xlog2(args).tolist():
+        h = 0.5 * (x0 + x1)
+        mutual.append(((2.0 - h) - 0.5 * (x2 + x3)) + (((l0 + l1) + l2) + l3))
+        h_r.append(h)
+    return mutual, h_r
 
 
 def mutual_information(params: BlochParams) -> float:
@@ -280,16 +286,16 @@ def mutual_information(params: BlochParams) -> float:
     (a qubit with Bloch vector v has entropy 1 - H_0(|v|)), on the gated
     spectrum of the state.
     """
-    return float(_mutual_informations([params], _gated_states([params])[1])[0][0])
+    return _mutual_informations([params], _gated_states([params])[1])[0][0]
 
 
 def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     """Sphere maxima of the correlation objectives of ``states``: one
-    Newton-polished :func:`maximize_batch` over all of them.  The kernel
-    takes r, s and c as stacked arrays, the model as lists of float rows,
-    converted once here."""
-    r, s, c = (np.stack([getattr(p, k) for p in states]) for k in "rsc")
-    lists = r.tolist(), s.tolist(), c.tolist()
+    Newton-polished :func:`maximize_batch` over all of them.  Each state's
+    r, s and c become float rows once, for the model, and the kernel's
+    (n, 3) arrays are built from those rows."""
+    lists = tuple([getattr(p, k).tolist() for p in states] for k in "rsc")
+    r, s, c = map(np.array, lists)
 
     def model(z, pairs, rows=None):
         picked = lists if rows is None else ([v[i] for i in rows] for v in lists)
@@ -348,9 +354,9 @@ def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[Discord
     max_z G(z).  So does a gated state whose closed form raises
     ``DomainError``: within an ulp of the eigenvalue floor, the closed
     form's analytic spectrum can round below it where LAPACK's does not.
-    The mutual informations come from one vectorized pass (see
-    :func:`_mutual_informations`), so each report is the one a batch of
-    that state alone gives, bit for bit.
+    The mutual informations come from one :func:`_xlog2` pass over the
+    batch (see :func:`_mutual_informations`), so each report is the one a
+    batch of that state alone gives, bit for bit.
     """
     if not states:
         return []
@@ -360,11 +366,11 @@ def _reports(states: list[BlochParams], cfg, closed_forms: bool) -> list[Discord
     found = iter(_correlation_search(misses, cfg) if misses else ())
     mutual, h_r = _mutual_informations(states, spectra)
     reports = []
-    for spectrum, hit, mutual_i, h_r_i in zip(spectra, hits, mutual.tolist(), h_r.tolist()):
+    for spectrum, hit, mutual_i, h_r_i in zip(spectra, hits, mutual, h_r):
         if hit is None:
             res = next(found)
             method, axis = METHOD_NUMERIC, res.axis
-            classical = float(-h_r_i + res.value)
+            classical = -h_r_i + res.value
             value = mutual_i - classical
         else:
             method, value, axis = hit

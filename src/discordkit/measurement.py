@@ -214,20 +214,15 @@ def _correlation_kernel(
 def _combine(xlog: np.ndarray) -> np.ndarray:
     """The objective from its six t log2 t terms x0..x5, in one fixed order:
     -(x0 + x1)/2 + (x2 + x3)/4 + (x4 + x5)/4, each quarter as half a half,
-    written in place into two buffers of one term's shape.
-    :func:`_correlation_model` sums its float terms in the same order."""
-    x0, x1, x2, x3, x4, x5 = xlog
-    value = np.add(x0, x1)
-    value *= 0.5
-    np.negative(value, out=value)
-    quarter = np.add(x2, x3)
-    quarter *= 0.5
-    quarter *= 0.5
-    value += quarter
-    np.add(x4, x5, out=quarter)
-    quarter *= 0.5
-    quarter *= 0.5
-    value += quarter
+    in five ufunc calls: the three pair sums, halved together, the last two
+    halved again, then q23 - h01 (exactly -h01 + q23 in IEEE arithmetic)
+    plus q45.  :func:`_correlation_model` sums its float terms in the same
+    order."""
+    pairs = np.add(xlog[0::2], xlog[1::2])
+    pairs *= 0.5
+    pairs[1:] *= 0.5
+    value = np.subtract(pairs[1], pairs[0])
+    value += pairs[2]
     return value
 
 

@@ -196,10 +196,11 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
     than 1e-15.  A row's running maximum is the highest value among its
     incumbent and its accepted iterates, kept with the first axis that
     reached it; the last iterate, where the row is certified, may sit up
-    to 1e-15 below it.  Returns (certified, axes and values of the running
-    maxima, accepted steps, objective evaluations, gradient norms, top
-    eigenvalues), with the steps 0 and the top eigenvalue NaN on
-    uncertified rows; their evaluations still count the trials.
+    to 1e-15 below it.  Returns seven lists as the polish kept them, in
+    Python floats and ints: certified flags, the running maxima's axes
+    (lists of 3 floats) and values, accepted steps, objective evaluations
+    (the trials), gradient norms and top eigenvalues (NaN on uncertified
+    rows, whose steps the caller reports as 0).
 
     The rows step in lockstep, one ``model`` call per iterate on the rows
     that moved (passed as ``rows`` when that is not every row), and all of
@@ -267,11 +268,7 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
             live.append(i)
             if u_value > best[i]:
                 best[i], best_z[i] = u_value, u
-    certified = np.array(certified)
-    return (
-        certified, np.array(best_z), np.array(best), np.where(certified, steps, 0),
-        np.array(evaluations), np.array(grad_norm), np.array(top),
-    )
+    return certified, best_z, best, steps, evaluations, grad_norm, top
 
 
 def maximize_batch(
@@ -290,7 +287,9 @@ def maximize_batch(
     whole lattice took about 740 minor page faults at 11 rows).  The chunk
     maxima merge in lattice order, NaN ranking highest as in ``argmax``,
     so every row keeps its first maximal lattice point.  Returns one
-    :class:`OptResult` per row, in order.
+    :class:`OptResult` per row, in order; a certified row's result comes
+    straight from the polish's float lists, and numpy arrays remain only
+    for the lattice pass and the cap rounds of the other rows.
 
     Without ``model`` every row runs all ``refine_rounds`` cap rounds.
     ``model(z, pairs)`` takes Python floats: k unit axes z, each a list of
@@ -334,31 +333,25 @@ def maximize_batch(
         up = (value > best_value) | (np.isnan(value) & ~np.isnan(best_value))
         best_value[up] = value[up]
         best_axis[up] = axis[up]
-    evaluations = np.full(n, len(grid))
 
     radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
-    certified = np.zeros(n, dtype=bool)
-    steps = np.zeros(n, dtype=int)
-    grad_norm = np.full(n, np.nan)
-    top = np.full(n, np.nan)
-    if model is not None:
-        certified, axis, value, steps, newton_evals, grad_norm, top = _newton_polish(
-            model, best_value, best_axis, cfg.hemisphere, radius
+    if model is None:
+        certified, steps, newton_evals = [False] * n, [0] * n, [0] * n
+        grad_norm = top = [math.nan] * n
+    else:
+        certified, newton_axis, newton_value, steps, newton_evals, grad_norm, top = (
+            _newton_polish(model, best_value, best_axis, cfg.hemisphere, radius)
         )
-        np.copyto(best_axis, axis, where=certified[:, None])
-        np.copyto(best_value, value, where=certified)
-        evaluations += newton_evals
 
-    m = cfg.local_points
-    rounds = cfg.refine_rounds * ~certified
-    evaluations += m * rounds
-    rows = np.flatnonzero(~certified)  # the searches the cap rounds refine
-    if len(rows):
+    rounds, m = int(cfg.refine_rounds), int(cfg.local_points)
+    rows = [i for i, done in enumerate(certified) if not done]  # the cap rounds' searches
+    if rows:
+        rows = np.array(rows)
         objective = f if len(rows) == n else lambda z: f(z, rows)
         axis, value = best_axis[rows], best_value[rows]
         j = (np.arange(m) + 0.5)[:, None]
         spiral = (np.sqrt(j / m), np.cos(j * _GOLDEN_ANGLE), np.sin(j * _GOLDEN_ANGLE))
-        for _ in range(cfg.refine_rounds):
+        for _ in range(rounds):
             local = _cap_grids(axis, radius, spiral, cfg.hemisphere)
             cand_value, cand_axis = _row_best(local, _evaluate(objective, local))
             up = cand_value > value
@@ -367,18 +360,22 @@ def maximize_batch(
             radius *= cfg.shrink_factor
         best_axis[rows], best_value[rows] = axis, value
 
-    return [
-        OptResult(
-            axis=best_axis[i].copy(),
-            value=float(best_value[i]),
-            evaluations=int(evaluations[i]),
-            refine_rounds=int(rounds[i]),
-            newton_steps=int(steps[i]),
-            gradient_norm=float(grad_norm[i]),
-            hessian_max_eig=float(top[i]),
-        )
-        for i in range(n)
-    ]
+    values, results = best_value.tolist(), []
+    for i, done in enumerate(certified):
+        if done:
+            axis, value, row_rounds = np.array(newton_axis[i]), newton_value[i], 0
+        else:
+            axis, value, row_rounds = best_axis[i].copy(), values[i], rounds
+        results.append(OptResult(
+            axis=axis,
+            value=value,
+            evaluations=len(grid) + newton_evals[i] + m * row_rounds,
+            refine_rounds=row_rounds,
+            newton_steps=steps[i] if done else 0,
+            gradient_norm=grad_norm[i],
+            hessian_max_eig=top[i],
+        ))
+    return results
 
 
 def maximize_on_sphere(f, cfg: SphereOptConfig | None = None) -> OptResult:

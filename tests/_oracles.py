@@ -18,7 +18,10 @@ maximal point and moves only to a strictly higher value, ``np.cross``),
 which the lockstep engine must reproduce bit for bit.
 ``draw_general_batch_reference`` is the general sampler without its
 pre-eigensolve screen; the package's sampler must return the same draws
-and leave the generator in the same state.
+and leave the generator in the same state.  ``array_mutual_informations``
+is the array form of the package's mutual-information pass (the package's
+``entropic_h`` and ``_xlog2``, then ``np.sum`` over each spectrum), which
+its float pass must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from discordkit import BlochParams, SphereOptConfig, build_state, fibonacci_grid
-from discordkit.density import IDENTITY2, PAULI
+from discordkit.density import IDENTITY2, PAULI, entropic_h
+from discordkit.density import _xlog2 as package_xlog2
 
 
 def eigh_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -220,6 +224,17 @@ def mutual_information_reference(params: BlochParams) -> float:
     rho_a = np.einsum("ikjk->ij", rho_r)
     rho_b = np.einsum("kikj->ij", rho_r)
     return _entropy(rho_a) + _entropy(rho_b) - _entropy(rho)
+
+
+def array_mutual_informations(states, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I = 2 - H_0(|r|) - H_0(|s|) + sum_i lambda_i log2 lambda_i and the
+    H_0(|r|) terms of gated ``states`` from their (n, 4) spectra, in arrays:
+    one ``entropic_h`` call on every |r| and |s|, one ``_xlog2`` pass on a
+    copy of the spectra and ``np.sum`` over each row."""
+    n = len(states)
+    h = entropic_h(0.0, np.array([p.r_norm for p in states] + [p.s_norm for p in states]))
+    lam_terms = np.sum(package_xlog2(spectra.copy()), axis=1)
+    return 2.0 - h[:n] - h[n:] + lam_terms, h[:n]
 
 
 def conditional_entropy_reference(params: BlochParams, axis: np.ndarray) -> float:

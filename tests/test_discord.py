@@ -1,6 +1,7 @@
 """Tests for mutual information, classical correlation and the discord
 closed forms against the numeric oracle."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -66,6 +67,7 @@ from discordkit.sampling import (
 )
 
 from _oracles import (
+    array_mutual_informations,
     axial_reference_formula,
     discord_reference,
     mutual_information_reference,
@@ -452,6 +454,36 @@ def test_nan_state_arguments_raise(func, args, error):
         func(*args)
 
 
+INF = float("inf")
+INF_CASES = [
+    (werner_discord, (INF,)),
+    (werner_discord, (-INF,)),
+    (discord_s0_isotropic_c_eq_r, (INF,)),
+    (discord_s0_isotropic, (0.1, INF)),
+    (discord_r0_isotropic, (0.1, INF)),
+    (discord_r0_isotropic, (0.1, -INF)),
+    (discord_s0_planar, ([0.1, 0.2, 0.3], INF)),
+    (discord_s0_planar, ([INF, 0.0, 0.0], 0.1)),
+    (werner_damped_gap, (INF, 0.5)),
+    (werner_damped_gap_dgamma, (INF, 0.5)),
+    (planar_damped_gap, ([0.1, 0.0, 0.0], INF, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    INF_CASES,
+    ids=[f"{f.__name__}-{k}" for k, (f, _) in enumerate(INF_CASES)],
+)
+def test_infinite_state_arguments_raise_as_nan_does(func, args):
+    # each infinite c or r component raises the error a NaN in its place
+    # raises (NAN_CASES), before numpy can warn about an inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            func(*args)
+
+
 def test_classical_correlation_identity():
     """C agrees with S(rho_a) - min_z conditional entropy, the minimum being
     attained at the reported axis."""
@@ -743,6 +775,41 @@ def _near_floor_batch() -> list[BlochParams]:
             states.append(scaled)
     assert len(states) >= 50
     return states
+
+
+def test_float_mutual_informations_equal_the_array_formula():
+    # the float pass of _mutual_informations sums every state's terms in the
+    # order of the array formula, so each value is bit for bit the same
+    batches = [_mixed_batch(), _near_floor_batch()]
+    for draw in (draw_s0_isotropic, draw_r0_isotropic, draw_axial_zero, draw_s0_planar):
+        rng = np.random.default_rng(0)
+        batches.append([draw(rng) for _ in range(100)])
+    for states in batches:
+        spectra = density._gated_states(states)[1]
+        mutual, h_r = discord_module._mutual_informations(states, spectra)
+        expected_mutual, expected_h_r = array_mutual_informations(states, spectra)
+        assert all(type(v) is float for v in mutual + h_r)
+        assert [v.hex() for v in mutual] == [v.hex() for v in expected_mutual.tolist()]
+        assert [v.hex() for v in h_r] == [v.hex() for v in expected_h_r.tolist()]
+
+
+def test_mutual_informations_make_one_xlog2_pass(monkeypatch):
+    # 1 +- |r|, 1 +- |s| and the four eigenvalues of every state of the batch
+    # go through one _xlog2 call, whatever the batch size
+    xlog2, calls = density._xlog2, []
+
+    def counting_xlog2(t):
+        calls.append(np.size(t))
+        return xlog2(t)
+
+    monkeypatch.setattr(density, "_xlog2", counting_xlog2)
+    monkeypatch.setattr(discord_module, "_xlog2", counting_xlog2)
+    states = _mixed_batch()
+    for n in (1, 2, 47):
+        spectra = density._gated_states(states[:n])[1]
+        calls.clear()
+        discord_module._mutual_informations(states[:n], spectra)
+        assert calls == [8 * n]
 
 
 def test_batch_gate_equals_the_one_state_gate_bit_for_bit():

@@ -4,7 +4,6 @@ import ast
 import importlib
 import importlib.util
 import re
-import tomllib
 from pathlib import Path
 
 import discordkit
@@ -15,10 +14,43 @@ README = ROOT / "README.md"
 SRC = ROOT / "src" / "discordkit"
 
 
+def _project_field(name: str) -> str:
+    """A string field of pyproject.toml's [project] table, read with a
+    regular expression: ``tomllib`` exists only from Python 3.11, and the
+    project supports 3.10."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    table = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    return re.search(rf'^{name}\s*=\s*"([^"]*)"', table, re.M).group(1)
+
+
 def test_version_matches_pyproject():
-    with PYPROJECT.open("rb") as fh:
-        project = tomllib.load(fh)["project"]
-    assert discordkit.__version__ == project["version"]
+    assert discordkit.__version__ == _project_field("version")
+
+
+# standard-library modules newer than Python 3.10, with the release that added them
+_NEWER_STDLIB = {"tomllib": (3, 11)}
+
+
+def test_sources_stay_within_the_declared_python_floor():
+    # every module of src/ and tests/ must parse under the grammar of the
+    # requires-python floor and import no standard module added after it
+    declared = re.fullmatch(r">=(\d+)\.(\d+)", _project_field("requires-python"))
+    floor = (int(declared[1]), int(declared[2]))
+    too_new = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            else:
+                continue
+            too_new += [
+                f"{path.name}: {module}" for module in modules
+                if _NEWER_STDLIB.get(module.split(".")[0], floor) > floor
+            ]
+    assert too_new == []
 
 
 def test_readme_notes_only_the_current_version():
