@@ -16,6 +16,7 @@ them.  Every report carries a ``method`` tag naming the path that produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -246,6 +247,12 @@ def discord_s0_planar(r, c: float) -> float:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):  # NaN components fail the eigenvalue check
         raise ValueError(f"r must be a real 3-vector, got shape {r.shape}")
+    # a+ >= |r| and a+ >= 2|c|, so the floor on (1 - a+)/4 below holds of
+    # each bound first; checked before a+ is, they keep c**4 and r . r finite
+    # (on Python floats: an np.min per bound costs several us per call)
+    for bound in (math.hypot(*r.tolist()), 2.0 * abs(c)):
+        _check_floor(0.25 * (1 - bound), EIGENVALUE_FLOOR, DomainError,
+                     "parameters leave the s0-planar family: eigenvalue")
     alpha_plus, alpha_minus = _planar_radii(r, c)
     # The eigenvalues are (1 +- a+-)/4; (1 - a+)/4 is the smallest.
     _check_eigenvalues(0.25 * (1 - alpha_plus), "s0-planar")
@@ -293,7 +300,9 @@ def _correlation_search(states: list[BlochParams], cfg) -> list[OptResult]:
     """Sphere maxima of the correlation objectives of ``states``: one
     Newton-polished :func:`maximize_batch` over all of them.  Each state's
     r, s and c become float rows once, for the model, and the kernel's
-    (n, 3) arrays are built from those rows."""
+    (n, 3) arrays are built from those rows.  The model reads its rows by
+    search index, one per axis, so an extra basin's axis gets its state's
+    rows again."""
     lists = tuple([getattr(p, k).tolist() for p in states] for k in "rsc")
     r, s, c = map(np.array, lists)
 

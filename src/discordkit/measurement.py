@@ -23,7 +23,7 @@ _QUAT_NORM_TOL = 1e-9
 _AXIS_NORM_TOL = 1e-9
 # Derivatives are reported only where every log argument and x+- is at
 # least this, away from the domain edge and from where x+- is not
-# differentiable.  A Newton step of sphereopt (up to 0.224 rad by default)
+# differentiable.  A Newton step of sphereopt (up to 0.447 rad by default)
 # can leave that region: the model still gives the trial's value, defined
 # on every axis of a state that passed the PSD gate, but NaN derivatives
 # there, so the row stops uncertified and falls back to the cap rounds.

@@ -6,7 +6,9 @@ spherical-cap grids around the incumbent: monotone in the incumbent value
 and bit-reproducible for a fixed configuration.  Objectives with a model
 (value, tangent gradient and Riemannian Hessian in one call) go from the
 lattice pass straight to at most four Newton steps, which also certify
-the local maximum; rows they cannot certify run the plain cap rounds.
+the local maximum, from the lattice incumbent and from up to four other
+competitive lattice basins; rows they cannot certify run the plain cap
+rounds and one more polish from where those end.
 
 One engine, :func:`maximize_batch`, runs n such searches in lockstep: they
 share the Fibonacci pass, and each refine round builds the cap grids of
@@ -40,6 +42,18 @@ _CURVATURE_TOL = 1e-8
 _VALUE_SLACK = 1e-15
 # Axes per objective call of a batch's Fibonacci pass (see maximize_batch).
 _AXIS_BUDGET = 8192
+# Basin scan (see _basin_scan): a lattice point above each of its
+# _SCAN_NEIGHBOURS nearest lattice points by more than _SCAN_MARGIN, and
+# within _SCAN_WINDOW of its row's best lattice value, starts an extra
+# polish row; at most _SCAN_CAP per search, highest first.  The margin
+# sits far above the kernel's rounding (lattice values of a flat Werner
+# objective differ by at most 1e-15) and far below a basin's rise over its
+# lattice neighbours (at least 1e-8 on 7000 general and X-state draws at
+# 500 points).
+_SCAN_NEIGHBOURS = 8
+_SCAN_MARGIN = 1e-12
+_SCAN_WINDOW = 1e-3
+_SCAN_CAP = 4
 
 
 def _check_count(name: str, n, least: int = 1) -> None:
@@ -60,7 +74,7 @@ class SphereOptConfig:
     objectives.
     """
 
-    grid_points: int = 2000
+    grid_points: int = 500
     refine_rounds: int = 40
     shrink_factor: float = 0.5
     local_points: int = 64
@@ -79,12 +93,13 @@ class OptResult:
     """Maximum ``value`` at ``axis`` after ``evaluations`` objective
     evaluations, with diagnostics: the cap rounds run, the Newton steps
     accepted, the last tangent gradient norm, and the largest tangent
-    Hessian eigenvalue of a certified local maximum (NaN when the Newton
-    polish did not certify the row, or did not run).  ``value`` is the
+    Hessian eigenvalue of a certified local maximum (NaN when no Newton
+    polish certified the reported maximum, or none ran).  ``value`` is the
     objective at ``axis``, bit for bit, and at least every value the
-    search evaluated, except the Newton trials of a row the polish did not
-    certify.  Such a row reports no Newton steps, since its result does
-    not use them, but its ``evaluations`` count the Newton trials."""
+    search evaluated, except the Newton trials of a polish that did not
+    certify.  The steps and the certificate are those of the polish whose
+    maximum the row reports (none for a cap-round incumbent), while
+    ``evaluations`` count every polish's trials."""
 
     axis: np.ndarray
     value: float
@@ -122,6 +137,29 @@ def _lattice(grid_points: int, hemisphere: bool) -> np.ndarray:
     grid = fibonacci_grid(grid_points, full_sphere=not hemisphere)
     grid.setflags(write=False)
     return grid
+
+
+@lru_cache(maxsize=None)
+def _neighbours(grid_points: int, hemisphere: bool) -> np.ndarray:
+    """The indices of each :func:`_lattice` point's _SCAN_NEIGHBOURS nearest
+    other lattice points (all of them on a smaller lattice), built once
+    per configuration and shared read-only.  On the hemisphere a point's
+    antipode stands in for it (nearness is |z . z'|), since the objectives
+    searched there are antipodally symmetric.  The similarities are taken
+    256 rows at a time, so 20000 points need 41 MB of them, not 3.2 GB."""
+    grid = _lattice(grid_points, hemisphere)
+    k = min(_SCAN_NEIGHBOURS, grid_points - 1)
+    table = np.empty((grid_points, k), dtype=np.intp)
+    for start in range(0, grid_points, 256):
+        near = grid[start : start + 256] @ grid.T
+        if hemisphere:
+            np.abs(near, out=near)
+        own = np.arange(len(near))
+        near[own, start + own] = -np.inf  # a point is not its own neighbour
+        nearest = np.argpartition(near, grid_points - 1 - k, axis=1)
+        table[start : start + 256] = nearest[:, grid_points - k :]
+    table.setflags(write=False)
+    return table
 
 
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
@@ -183,40 +221,42 @@ def _tangent_pair(u: list[float]) -> tuple[float, ...]:
     return (f0, u1 * f2 - u2 * f1, f1, u2 * f0 - u0 * f2, f2, u0 * f1 - u1 * f0)
 
 
-def _newton_polish(model, value, axis, hemisphere, max_step):
-    """At most four Riemannian Newton steps from each row's lattice
-    incumbent: a tangent basis and a ``model`` call there and per trial.
+def _newton_polish(model, value, z, owners, hemisphere, max_step):
+    """At most four Riemannian Newton steps from each polish row's start:
+    a tangent basis and a ``model`` call there and per trial.
 
-    A row is certified once its tangent gradient norm is at most 1e-10,
-    the largest eigenvalue of its tangent Hessian is below -1e-8, and its
-    quadratic model rises at most 1e-15 above it.  A row stops uncertified
-    when its derivatives are undefined (NaN), its tangent Hessian is not
-    negative definite by that margin, its step is longer than ``max_step``
-    (the first cap radius), or a step lowers the running maximum by more
-    than 1e-15.  A row's running maximum is the highest value among its
-    incumbent and its accepted iterates, kept with the first axis that
-    reached it; the last iterate, where the row is certified, may sit up
-    to 1e-15 below it.  Returns seven lists as the polish kept them, in
-    Python floats and ints: certified flags, the running maxima's axes
-    (lists of 3 floats) and values, accepted steps, objective evaluations
-    (the trials), gradient norms and top eigenvalues (NaN on uncertified
-    rows, whose steps the caller reports as 0).
+    Row i starts at the unit axis ``z[i]`` (a list of 3 floats) with value
+    ``value[i]`` and belongs to search ``owners[i]``; ``model(z, pairs,
+    rows)`` gets the search index of each row it evaluates.  A row is
+    certified once its tangent gradient norm is at most 1e-10, the largest
+    eigenvalue of its tangent Hessian is below -1e-8, and its quadratic
+    model rises at most 1e-15 above it.  A row stops uncertified when its
+    derivatives are undefined (NaN), its tangent Hessian is not negative
+    definite by that margin, its step is longer than ``max_step`` (the
+    first cap radius), or a step lowers the running maximum by more than
+    1e-15.  A row's running maximum is the highest value among its start
+    and its accepted iterates, kept with the first axis that reached it;
+    the last iterate, where the row is certified, may sit up to 1e-15
+    below it.  Returns seven lists as the polish kept them, in Python
+    floats and ints: certified flags, the running maxima's axes (lists of
+    3 floats) and values, accepted steps, objective evaluations (the
+    trials), the last gradient norms and top eigenvalues (NaN on
+    uncertified rows).
 
     The rows step in lockstep, one ``model`` call per iterate on the rows
-    that moved (passed as ``rows`` when that is not every row), and all of
-    it, the model's rows included, is Python floats: numpy's per-call cost
-    on a handful of rows is what a search of one state would otherwise
-    spend most of its polish on.
+    that moved, and all of it, the model's rows included, is Python
+    floats: numpy's per-call cost on a handful of rows is what a search of
+    one state would otherwise spend most of its polish on.
     """
-    n = len(axis)
-    z = axis.tolist()
+    n = len(z)
+    z = list(z)
     pairs = [_tangent_pair(u) for u in z]
-    best, best_z = value.tolist(), list(z)
+    best, best_z = list(value), list(z)
     certified = [False] * n
     steps, evaluations = [0] * n, [0] * n
     grad_norm, top = [math.nan] * n, [math.nan] * n
     live = range(n)
-    derivatives = list(model(z, pairs)[1])
+    derivatives = list(model(z, pairs, owners)[1])
     for k in range(_NEWTON_STEPS + 1):
         concave = []
         for i in live:
@@ -257,7 +297,7 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
         if not moved:
             break
         # the trials' values and, where accepted, the next derivatives
-        outputs = model(trial, trial_pairs) if len(moved) == n else model(trial, trial_pairs, moved)
+        outputs = model(trial, trial_pairs, [owners[i] for i in moved])
         live = []
         for i, u, pair, u_value, u_derivatives in zip(moved, trial, trial_pairs, *outputs):
             evaluations[i] += 1
@@ -269,6 +309,31 @@ def _newton_polish(model, value, axis, hemisphere, max_step):
             if u_value > best[i]:
                 best[i], best_z[i] = u_value, u
     return certified, best_z, best, steps, evaluations, grad_norm, top
+
+
+def _basin_scan(values: np.ndarray, best: np.ndarray, first: np.ndarray, table: np.ndarray):
+    """The extra polish starts of a lattice pass with ``values`` (n rows of
+    lattice values), best values ``best`` at lattice indices ``first``:
+    per row, every other lattice point within _SCAN_WINDOW of the best
+    value and above each of its ``table`` neighbours by more than
+    _SCAN_MARGIN, at most _SCAN_CAP of them, highest value first (the
+    lower lattice index on a tie).  Returns their rows, ascending, and
+    lattice indices as two lists.  Only points inside the window have
+    their neighbours read: on a general state, a few points around each
+    competitive maximum."""
+    row, col = np.nonzero(values >= (best - _SCAN_WINDOW)[:, None])
+    value = values[row, col]
+    keep = value > values[row[:, None], table[col]].max(axis=1, initial=-np.inf) + _SCAN_MARGIN
+    keep &= col != first[row]
+    picks: dict[int, list[tuple[float, int]]] = {}
+    for i, j, v in zip(row[keep].tolist(), col[keep].tolist(), value[keep].tolist()):
+        picks.setdefault(i, []).append((-v, j))
+    owners, columns = [], []
+    for i, found in picks.items():
+        for _, j in sorted(found)[:_SCAN_CAP]:
+            owners.append(i)
+            columns.append(j)
+    return owners, columns
 
 
 def maximize_batch(
@@ -284,12 +349,12 @@ def maximize_batch(
     hemisphere) and cached read-only; ``f`` gets writable copies of it in
     chunks of max(1, 8192 // n) lattice columns, one call each, small
     enough for the objective's temporaries to be reused (one call on the
-    whole lattice took about 740 minor page faults at 11 rows).  The chunk
-    maxima merge in lattice order, NaN ranking highest as in ``argmax``,
-    so every row keeps its first maximal lattice point.  Returns one
-    :class:`OptResult` per row, in order; a certified row's result comes
-    straight from the polish's float lists, and numpy arrays remain only
-    for the lattice pass and the cap rounds of the other rows.
+    whole lattice took about 740 minor page faults at 11 rows).  The pass
+    keeps every row's lattice values, and each row's incumbent is its
+    first maximal lattice point, NaN ranking highest as in ``argmax``.
+    Returns one :class:`OptResult` per row, in order; a certified row's
+    result comes straight from the polish's float lists, and numpy arrays
+    remain only for the lattice pass and the cap rounds of the other rows.
 
     Without ``model`` every row runs all ``refine_rounds`` cap rounds.
     ``model(z, pairs)`` takes Python floats: k unit axes z, each a list of
@@ -299,15 +364,30 @@ def maximize_batch(
     Riemannian Hessian B^T H B - (z . grad) I in B = [e1 e2], NaN where
     undefined.  With it, at most four Newton steps polish each row's
     lattice incumbent, one model call per step and none of ``f``, each step
-    no longer than the first cap radius min(pi/2, 10/sqrt(grid_points)).  A
-    row whose local maximum they certify stops there; every other row runs
-    the plain rounds from its lattice incumbent, and so ends exactly where
-    a search without a model ends.  Both evaluate only the rows that need
-    it, under one convention: a call on fewer than all n rows passes the
-    ascending search indices ``rows`` last, with one block of input per row
-    in that order.  So a step calls ``model(z, pairs, rows)`` on the rows
-    it moved, and while some row is certified the rounds call
-    ``f(points, rows)``, points of shape (len(rows), m, 3).
+    no longer than the first cap radius min(pi/2, 10/sqrt(grid_points)).
+
+    The same polish call also starts from each row's other competitive
+    basins, found by a scan of its lattice values: lattice points above
+    each of their 8 nearest lattice neighbours (on the hemisphere, antipodes
+    folded) by more than 1e-12 and within 1e-3 of the row's best value,
+    at most 4 per row, highest first.  Each is an extra polish row, and a
+    model call passes it its search's index.  A row the polish of its own
+    incumbent cannot certify runs the plain cap rounds from that incumbent,
+    as a search without a model does, and then one more polish from where
+    the rounds end, whose result it takes if certified and strictly
+    higher.  That polish's steps may be up to pi/2 long: the rounds have
+    kept the row in its basin, and on a flat ridge they can stall farther
+    from its maximum than the first cap radius.  Last, a row moves to an
+    extra row's maximum only if that is certified and strictly higher than
+    what it holds.
+
+    Every call evaluates only the rows that need it, under one convention:
+    a call on anything but the n searches in order passes, last, the search
+    index of each block of input.  So the cap rounds call ``f(points,
+    rows)`` on the ascending indices of the rows they refine, points of
+    shape (len(rows), m, 3), while some row is certified; and ``model(z,
+    pairs, rows)`` gets the index of each axis's search, where an extra row
+    repeats the index of its search.
 
     A row keeps the first point that reaches its highest value: the first
     maximal lattice point, then a cap round's or Newton iterate's point
@@ -321,61 +401,87 @@ def maximize_batch(
         return []
     grid = _lattice(cfg.grid_points, cfg.hemisphere)
     width = max(1, _AXIS_BUDGET // n)
+    values = np.empty((n, len(grid)))
     for start in range(0, len(grid), width):
         # a writable copy for f
         points = np.repeat(grid[None, start : start + width], n, axis=0)
-        value, axis = _row_best(points, _evaluate(f, points))
-        if start == 0:
-            best_value, best_axis = value, axis
-            continue
-        # argmax's order across chunks: a strictly higher value, or NaN
-        # over a number, replaces the first maximal point
-        up = (value > best_value) | (np.isnan(value) & ~np.isnan(best_value))
-        best_value[up] = value[up]
-        best_axis[up] = axis[up]
+        values[:, start : start + width] = _evaluate(f, points)
+    first = values.argmax(axis=1)
+    best_value, best_axis = values[np.arange(n), first], grid[first]
 
     radius = min(np.pi / 2.0, 10.0 / np.sqrt(cfg.grid_points))
-    if model is None:
-        certified, steps, newton_evals = [False] * n, [0] * n, [0] * n
-        grad_norm = top = [math.nan] * n
-    else:
-        certified, newton_axis, newton_value, steps, newton_evals, grad_norm, top = (
-            _newton_polish(model, best_value, best_axis, cfg.hemisphere, radius)
-        )
+    evaluations = [len(grid)] * n
+    # per row: (certified, axis, value, steps, gradient norm, top eigenvalue)
+    # of what it reports; None until its polish or cap rounds end
+    held, extras = [None] * n, ()
+    if model is not None:
+        whole = list(range(n))
 
+        def polish(starts, axes, owners, reach):
+            outcome = _newton_polish(
+                lambda z, pairs, rows: model(z, pairs) if rows == whole else model(z, pairs, rows),
+                starts, axes, owners, cfg.hemisphere, reach,
+            )
+            for i, trials in zip(owners, outcome[4]):
+                evaluations[i] += trials
+            return [
+                (done, axis, value, steps if done else 0, norm, top)
+                for done, axis, value, steps, _, norm, top in zip(*outcome)
+            ]
+
+        table = _neighbours(cfg.grid_points, cfg.hemisphere)
+        owners, columns = _basin_scan(values, best_value, first, table)
+        starts, axes = best_value.tolist(), best_axis.tolist()
+        if owners:
+            starts += values[owners, columns].tolist()
+            axes += grid[columns].tolist()
+        polished = polish(starts, axes, whole + owners, radius)
+        held = [row if row[0] else None for row in polished[:n]]
+        extras = zip(owners, polished[n:])
+
+    rows = [i for i, row in enumerate(held) if row is None]  # the cap rounds' searches
     rounds, m = int(cfg.refine_rounds), int(cfg.local_points)
-    rows = [i for i, done in enumerate(certified) if not done]  # the cap rounds' searches
     if rows:
-        rows = np.array(rows)
-        objective = f if len(rows) == n else lambda z: f(z, rows)
-        axis, value = best_axis[rows], best_value[rows]
+        picked = np.array(rows)
+        objective = f if len(rows) == n else lambda z: f(z, picked)
+        axis, value = best_axis[picked], best_value[picked]
         j = (np.arange(m) + 0.5)[:, None]
         spiral = (np.sqrt(j / m), np.cos(j * _GOLDEN_ANGLE), np.sin(j * _GOLDEN_ANGLE))
+        cap = radius
         for _ in range(rounds):
-            local = _cap_grids(axis, radius, spiral, cfg.hemisphere)
+            local = _cap_grids(axis, cap, spiral, cfg.hemisphere)
             cand_value, cand_axis = _row_best(local, _evaluate(objective, local))
             up = cand_value > value
             value[up] = cand_value[up]
             axis[up] = cand_axis[up]
-            radius *= cfg.shrink_factor
-        best_axis[rows], best_value[rows] = axis, value
+            cap *= cfg.shrink_factor
+        value = value.tolist()
+        for i, u, v in zip(rows, axis, value):
+            held[i] = (False, u, v, 0, math.nan, math.nan)
+            evaluations[i] += m * rounds
+        if model is not None:
+            # one more polish, from where the rounds end; a row it does not
+            # move keeps the rounds' incumbent and its last gradient norm
+            for i, again in zip(rows, polish(value, axis.tolist(), rows, np.pi / 2.0)):
+                up = again[0] and again[2] > held[i][2]
+                held[i] = again if up else held[i][:4] + (again[4], math.nan)
+    for i, extra in extras:
+        if extra[0] and extra[2] > held[i][2]:
+            held[i] = extra
 
-    values, results = best_value.tolist(), []
-    for i, done in enumerate(certified):
-        if done:
-            axis, value, row_rounds = np.array(newton_axis[i]), newton_value[i], 0
-        else:
-            axis, value, row_rounds = best_axis[i].copy(), values[i], rounds
-        results.append(OptResult(
-            axis=axis,
+    capped = set(rows)
+    return [
+        OptResult(
+            axis=np.array(axis, dtype=float),
             value=value,
-            evaluations=len(grid) + newton_evals[i] + m * row_rounds,
-            refine_rounds=row_rounds,
-            newton_steps=steps[i] if done else 0,
-            gradient_norm=grad_norm[i],
-            hessian_max_eig=top[i],
-        ))
-    return results
+            evaluations=evaluations[i],
+            refine_rounds=rounds if i in capped else 0,
+            newton_steps=steps,
+            gradient_norm=norm,
+            hessian_max_eig=top,
+        )
+        for i, (_, axis, value, steps, norm, top) in enumerate(held)
+    ]
 
 
 def maximize_on_sphere(f, cfg: SphereOptConfig | None = None) -> OptResult:

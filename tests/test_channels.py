@@ -337,16 +337,16 @@ def test_gamma_sweep_runs_one_lockstep_search(monkeypatch):
     params = draw_general_batch(np.random.default_rng(251), 1)[0]
     gamma_sweep(params, np.linspace(0.0, 1.0, 11))
     # the state and its 10 images at gamma > 0 at once (the gamma = 0 row
-    # reuses the state's report): one Fibonacci pass in chunks of
-    # 8192 // 11 = 744 lattice columns, then one model call at the lattice
-    # incumbents and three Newton trials, which certify every row, so no
-    # cap round runs; six rows are certified after two trials, so the third
-    # trial evaluates the other five alone
-    assert [z.shape for z in calls] == [(11, 744, 3), (11, 744, 3), (11, 512, 3)]
+    # reuses the state's report): one Fibonacci pass in one call (11 x 500
+    # axes are within the 8192-axis budget), no extra basin, then one model
+    # call at the lattice incumbents and three Newton trials, which certify
+    # every row, so no cap round runs; two rows are certified after two
+    # trials, so the third trial evaluates the other nine alone
+    assert [z.shape for z in calls] == [(11, 500, 3)]
     assert all(np.array_equal(z, np.broadcast_to(z[:1], z.shape)) for z in calls)
     lattice = fibonacci_grid(SphereOptConfig().grid_points)  # the hemisphere
     assert np.array_equal(np.concatenate([z[0] for z in calls]), lattice)
-    assert model_calls == [(11, 11)] * 3 + [(5, 5)]
+    assert model_calls == [(11, 11)] * 3 + [(9, 9)]
 
 
 @pytest.mark.parametrize("c3", [0.3, 0.5, 0.8])

@@ -484,6 +484,29 @@ def test_infinite_state_arguments_raise_as_nan_does(func, args):
             func(*args)
 
 
+HUGE_CASES = [
+    (discord_s0_planar, ([0.1, 0.0, 0.0], 1e100)),
+    (discord_s0_planar, ([0.1, 0.0, 0.0], -1e100)),
+    (discord_s0_planar, ([0.1, 0.0, 0.0], 1.7e308)),
+    (discord_s0_planar, ([1e200, 0.0, 0.0], 0.1)),
+    (planar_damped_gap, ([0.1, 0.0, 0.0], 1e100, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    HUGE_CASES,
+    ids=[f"{f.__name__}-{k}" for k, (f, _) in enumerate(HUGE_CASES)],
+)
+def test_huge_planar_arguments_raise_as_nan_does(func, args):
+    # a finite c or r far outside the physical range, where c**4 or r . r
+    # would overflow, fails the eigenvalue floor before either is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="s0-planar family"):
+            func(*args)
+
+
 def test_classical_correlation_identity():
     """C agrees with S(rho_a) - min_z conditional entropy, the minimum being
     attained at the reported axis."""
@@ -735,10 +758,12 @@ def test_batch_search_diagnostics_equal_one_state_at_a_time():
 
 
 def test_newton_model_evaluates_the_moved_rows_only(monkeypatch):
-    # the polish calls the model on every row at the lattice incumbents, then
-    # on the rows each trial moves, named as ascending search indices: so a
-    # row is evaluated once per Newton trial its result counts, and never
-    # after it stopped
+    # the polish calls the model on every row at the lattice incumbents and
+    # at the scan's extra basins, then on the rows each trial moves, named by
+    # their search indices (an extra row repeats its search's): so a search
+    # is evaluated once per polish start and per Newton trial its result
+    # counts, and never after it stopped; a row the cap rounds refine starts
+    # one more polish where they end
     calls = []
     search = discord_module.maximize_batch
 
@@ -747,7 +772,8 @@ def test_newton_model_evaluates_the_moved_rows_only(monkeypatch):
             if rows is None:
                 calls.append(list(range(n)))
                 return model(z, basis)
-            assert list(rows) == sorted(set(rows)) and len(rows) < n  # ascending, not all
+            # a call naming its rows is never the n searches in order
+            assert list(rows) != list(range(n)) and set(rows) <= set(range(n))
             calls.append(list(rows))
             return model(z, basis, rows)
 
@@ -756,11 +782,12 @@ def test_newton_model_evaluates_the_moved_rows_only(monkeypatch):
     monkeypatch.setattr(discord_module, "maximize_batch", recording_search)
     states = _mixed_batch()
     results = discord_module._correlation_search(states, None)
-    assert calls[0] == list(range(len(states)))
     assert any(len(rows) < len(states) for rows in calls[1:])
+    assert calls[0][: len(states)] == list(range(len(states)))
     for i, res in enumerate(results):
-        trials = res.evaluations - 2000 - 64 * res.refine_rounds
-        assert sum(i in rows for rows in calls) == 1 + trials
+        trials = res.evaluations - 500 - 64 * res.refine_rounds
+        starts = calls[0].count(i) + (res.refine_rounds > 0)
+        assert sum(rows.count(i) for rows in calls) == starts + trials
 
 
 def _near_floor_batch() -> list[BlochParams]:
@@ -997,7 +1024,7 @@ def test_axial_zero_branch_gates_physicality():
 
 
 def _forty_round_search(
-    params: BlochParams, grid_points: int = 2000
+    params: BlochParams, grid_points: int = SphereOptConfig.grid_points
 ) -> tuple[float, np.ndarray, int]:
     """The plain 40-round search of the correlation objective."""
     r, s, c = (v[None, :] for v in (params.r, params.s, params.c))
@@ -1083,25 +1110,36 @@ def test_one_state_search_is_the_lattice_pass_and_newton_trials(monkeypatch):
     monkeypatch.setattr(measurement_module, "_xlog2", counting_xlog2)
     # the pool of the oracle-scan benchmark at seed 1
     pool = draw_general_batch(np.random.default_rng(1), 48)
+    extras = 0
     for params in pool:
         for log in (calls, model_calls):
             log.clear()
         res = discord_module._correlation_search([params], None)[0]
         # no 64-point cap round runs: the polish certifies every general
         # draw.  The lattice pass is one kernel call; the polish is one model
-        # call at the incumbent and one per Newton trial, and each model call
-        # makes one _xlog2 pass, on the (1, 6) log arguments of its one row
-        trials = res.evaluations - 2000
-        assert res.refine_rounds == 0 and 1 <= trials <= 4
-        assert calls == [(1, 2000, 3)]
-        assert model_calls == [(1, 1, [(1, 6)])] * (1 + trials)
+        # call at the incumbent and at any extra basin the scan found, then
+        # one per Newton trial on the rows still stepping, and each model
+        # call makes one _xlog2 pass, on the (k, 6) log arguments of its k rows
+        trials = res.evaluations - 500
+        rows = model_calls[0][0]
+        assert res.refine_rounds == 0 and 1 <= trials <= 4 * rows
+        assert calls == [(1, 500, 3)]
+        assert model_calls[0] == (rows, rows, [(rows, 6)])
+        for k, pairs, xlog_shapes in model_calls[1:]:
+            assert 1 <= k <= rows and pairs == k and xlog_shapes == [(k, 6)]
+        assert sum(k for k, _, _ in model_calls[1:]) == trials
+        if rows == 1:
+            assert model_calls == [(1, 1, [(1, 6)])] * (1 + trials)
+        extras += rows - 1
+    assert extras == 1  # one state of the pool has a second competitive basin
     # in a batch, too, each model call makes one _xlog2 pass for all its rows:
-    # every row at the incumbents, then the rows each trial moves
+    # every row at the incumbents (and the one extra basin among the first
+    # eight states), then the rows each trial moves
     model_calls.clear()
     discord_module._correlation_search(pool[:8], None)
-    assert model_calls[0] == (8, 8, [(8, 6)])
+    assert model_calls[0] == (9, 9, [(9, 6)])
     for k, pairs, xlog_shapes in model_calls:
-        assert 1 <= k <= 8 and pairs == k and xlog_shapes == [(k, 6)]
+        assert 1 <= k <= 9 and pairs == k and xlog_shapes == [(k, 6)]
 
 
 def test_polish_from_a_coarse_lattice_keeps_global_reach():
@@ -1113,6 +1151,60 @@ def test_polish_from_a_coarse_lattice_keeps_global_reach():
     for params, res in zip(states, discord_module._correlation_search(states, cfg)):
         value, _, _ = _forty_round_search(params, grid_points=50)
         assert res.value >= value - 1e-12
+
+
+_TWENTY_THOUSAND = SphereOptConfig(grid_points=20000)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # state 15106 of draw_general_batch(default_rng(12), 20000): a lower
+        # maximum 1.30 rad from the global one, which is 1.78e-5 higher
+        BlochParams(
+            [0.01885415959389425, -0.363458589402468, -0.0038972889414590206],
+            [-0.020448704800057005, 0.020915924643949424, -0.3457985466676039],
+            [-0.4901731393787496, 0.2694155309048143, 0.4034476684472441],
+        ),
+        # a near-X state: two mirror maxima across the (e_x, e_z) plane,
+        # 2.45e-6 apart in value
+        BlochParams(
+            [3.3698232137298746e-07, 4.2387603372863286e-08, -0.8802552449023451],
+            [-1.5731212529670364e-06, -2.415237179863611e-06, -0.6337890892320988],
+            [0.266991164820489, -0.313865227085695, 0.733208239881509],
+        ),
+    ],
+    ids=["general", "near-x"],
+)
+def test_basin_scan_certifies_the_higher_of_two_close_maxima(params):
+    # the best lattice point lies in the lower maximum's basin, which its
+    # polish alone certifies; the scan polishes the other basin as well
+    report = discord_numeric(params)
+    reference = discord_numeric(params, _TWENTY_THOUSAND)
+    assert abs(report.classical_corr - reference.classical_corr) <= 1e-12
+    assert abs(report.discord - reference.discord) <= 1e-12
+    res = maximize_correlation_objective(params)
+    assert res.refine_rounds == 0 and res.hessian_max_eig < 0.0
+    assert min(np.abs(res.axis - reference.argmax_axis).max(),
+               np.abs(res.axis + reference.argmax_axis).max()) <= 1e-3
+
+
+def test_flat_x_maximum_is_polished_after_the_cap_rounds():
+    # an X state whose maximum on the equator is flat (top tangent-Hessian
+    # eigenvalue -2.5e-5): the polish of its 500-point incumbent cannot
+    # certify it, the cap rounds stop 4.7e-7 below it, and one more polish
+    # from where they end certifies it
+    params = BlochParams(
+        [0, 0, 0.4307991051562148],
+        [0, 0, 0.38146901246180454],
+        [-0.2767049855816941, -0.27673285771437484, 0.1909645837932501],
+    )
+    res = maximize_correlation_objective(params, SphereOptConfig(grid_points=500))
+    assert res.value >= 0.19839076937916247 - 1e-15
+    assert res.refine_rounds == 40 and res.newton_steps >= 1
+    assert -3e-5 < res.hessian_max_eig < -2e-5 and res.gradient_norm <= 1e-10
+    plain, _, _ = _forty_round_search(params, grid_points=500)
+    assert res.value - plain > 4e-7
 
 
 def _fallback_states() -> dict[str, BlochParams]:
@@ -1144,6 +1236,29 @@ def test_flat_and_boundary_states_take_the_fallback():
         # the trials are counted, but a row that falls back reports no steps
         assert res.evaluations == evaluations + tried and res.newton_steps == 0
         assert res.refine_rounds == 40 and np.isnan(res.hessian_max_eig)
+
+
+def test_flat_rows_get_no_extra_basin(monkeypatch):
+    # the lattice values of a flat objective differ by rounding alone, so
+    # no lattice point rises above its neighbours by the scan's margin: the
+    # first model call holds the incumbents alone
+    first_calls = []
+    search = discord_module.maximize_batch
+
+    def recording_search(f, n, cfg, model):
+        def recording_model(z, pairs, *rows):
+            if not first_calls:
+                first_calls.append(len(z))
+            return model(z, pairs, *rows)
+
+        return search(f, n, cfg, recording_model)
+
+    monkeypatch.setattr(discord_module, "maximize_batch", recording_search)
+    states = [BlochParams([0, 0, 0], [0, 0, 0], [c, c, c]) for c in np.linspace(-0.99, 0.33, 23)]
+    states.append(_fallback_states()["product"])
+    results = discord_module._correlation_search(states, None)
+    assert first_calls == [len(states)]
+    assert all(res.refine_rounds == 40 for res in results)
 
 
 def test_reported_value_covers_every_evaluated_axis(monkeypatch):

@@ -12,7 +12,13 @@ from discordkit import (
     maximize_batch,
     maximize_on_sphere,
 )
-from discordkit.sphereopt import _GOLDEN_ANGLE, _cap_grids, _tangent_pair
+from discordkit.sphereopt import (
+    _GOLDEN_ANGLE,
+    _basin_scan,
+    _cap_grids,
+    _neighbours,
+    _tangent_pair,
+)
 
 from _oracles import serial_sphere_search
 
@@ -280,8 +286,8 @@ def test_lattice_pass_calls_stay_within_the_axis_budget(n):
 def test_lockstep_rows_keep_a_nan_lattice_value_across_chunks():
     # a NaN ranks above every number, as in argmax: row k is NaN at lattice
     # point 180 k, so rows 0-4, 5-8 and 9-10 meet it in the first, second
-    # and third of the three 744-column chunks of an 11-row pass
-    cfg = SphereOptConfig(refine_rounds=2)
+    # and third of the three 744-column chunks of an 11-row pass over 2000 points
+    cfg = SphereOptConfig(grid_points=2000, refine_rounds=2)
     lattice = fibonacci_grid(cfg.grid_points, full_sphere=True)
     rows = [
         lambda z, p=lattice[180 * k]: np.where(np.all(z == p, axis=-1), np.nan, z[..., 0])
@@ -365,6 +371,48 @@ def _quadratic_batch(n: int, seed: int):
     return mats, f, model
 
 
+def _recording(model, n):
+    """``model`` and the search indices of each of its calls, a list per
+    call (all n searches when the call names none)."""
+    calls = []
+
+    def recording(z, pairs, *rows):
+        calls.append(list(rows[0]) if rows else list(range(n)))
+        return model(z, pairs, *rows)
+
+    return recording, calls
+
+
+def _scan_rule(values, grid, hemisphere):
+    """The basin scan's rule by brute force: each lattice point's 8 nearest
+    other points by a full sort of z . z' (|z . z'| on the hemisphere);
+    per row, the points other than the first maximal one that lie within
+    1e-3 of the row's best and above all 8 neighbours by more than 1e-12,
+    the 4 highest (the lower index on a tie), as (rows, indices)."""
+    near = grid @ grid.T
+    if hemisphere:
+        near = np.abs(near)
+    np.fill_diagonal(near, -np.inf)
+    table = np.argsort(-near, axis=1, kind="stable")[:, :8]
+    owners, columns = [], []
+    for i, row in enumerate(values):
+        first = int(np.argmax(row))
+        picks = [
+            j for j in range(len(row))
+            if j != first and row[j] >= row[first] - 1e-3 and row[j] > row[table[j]].max() + 1e-12
+        ]
+        picks = sorted(picks, key=lambda j: (-row[j], j))[:4]
+        owners += [i] * len(picks)
+        columns += picks
+    return owners, columns
+
+
+def _scan_reference(f, n, cfg):
+    """:func:`_scan_rule` on the lattice values of the batch objective ``f``."""
+    grid = fibonacci_grid(cfg.grid_points, full_sphere=not cfg.hemisphere)
+    return _scan_rule(f(np.repeat(grid[None], n, axis=0)), grid, cfg.hemisphere)
+
+
 def test_result_diagnostics_default_and_plain_rounds():
     bare = OptResult(np.zeros(3), 1.0, 10)
     assert (bare.refine_rounds, bare.newton_steps) == (0, 0)
@@ -379,11 +427,19 @@ def test_result_diagnostics_default_and_plain_rounds():
 def test_newton_polish_certifies_quadratic_maxima(hemisphere):
     mats, f, model = _quadratic_batch(6, 127)
     cfg = SphereOptConfig(hemisphere=hemisphere)
-    for m, res in zip(mats, maximize_batch(f, 6, cfg, _float_rows(model))):
+    recording, calls = _recording(_float_rows(model), 6)
+    results = maximize_batch(f, 6, cfg, recording)
+    # on the whole sphere the scan polishes a form's antipodal maximum too,
+    # as an extra row wherever its lattice maximum lies within 1e-3
+    assert calls[0] == list(range(6)) + _scan_reference(f, 6, cfg)[0]
+    trials = np.bincount([i for rows in calls[1:] for i in rows], minlength=6)
+    for m, res, tried in zip(mats, results, trials):
         lam, vec = np.linalg.eigh(m)
         # Newton starts from the lattice incumbent and finishes: no cap rounds
         assert res.refine_rounds == 0 and res.newton_steps >= 1
-        assert res.evaluations == 2000 + res.newton_steps
+        assert res.evaluations == cfg.grid_points + tried
+        if hemisphere:  # one basin: the trials are the row's own accepted steps
+            assert tried == res.newton_steps
         assert res.gradient_norm <= 1e-10
         # at the top eigenvector the tangent Hessian is 2 (A - lam_max I) on the
         # tangent plane, whose largest eigenvalue is 2 (lam_mid - lam_max)
@@ -402,9 +458,10 @@ def test_newton_polish_certifies_quadratic_maxima(hemisphere):
 @pytest.mark.parametrize("grid_points, shrink_factor", [(200, 0.3), (2000, 0.9)])
 def test_polish_starts_right_after_the_lattice_pass(grid_points, shrink_factor):
     # whatever the lattice and the shrink factor, the polish runs before any
-    # cap round, with steps up to the first cap radius min(pi/2, 10/sqrt(grid_points))
+    # cap round, with steps up to the first cap radius min(pi/2, 10/sqrt(grid_points));
+    # on the hemisphere each form has one basin, so the polish has no extra rows
     mats, f, model = _quadratic_batch(6, 127)
-    cfg = SphereOptConfig(grid_points=grid_points, shrink_factor=shrink_factor)
+    cfg = SphereOptConfig(grid_points=grid_points, shrink_factor=shrink_factor, hemisphere=True)
     objective_calls, model_calls = [], []
 
     def recording(z):
@@ -485,11 +542,13 @@ def _rotated(f, mats, angle):
         ("undefined", 0),
         ("downhill", 1),  # the first trial is evaluated, rejected, not counted
         ("overshooting", 0),  # steps past the first cap radius are never tried
-        # a step of about 0.3, past the first cap radius 0.22, is not tried either
+        # a step of about 0.6, past the first cap radius 0.447, is not tried either
         ("misdirected", 0),
     ],
 )
 def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
+    # ``trials`` are the first polish's; the polish from the cap rounds'
+    # incumbent, whose steps may reach pi/2, certifies nothing higher either
     mats, f, model = _quadratic_batch(3, 131)
     cfg = SphereOptConfig(hemisphere=True)
 
@@ -500,12 +559,24 @@ def test_unusable_derivatives_fall_back_to_plain_rounds(kind, trials):
         "undefined": undefined,
         "downhill": _tangent_scaled(model, -1.0),
         "overshooting": _tangent_scaled(model, 1e3),
-        "misdirected": _rotated(f, mats, 0.3),
+        "misdirected": _rotated(f, mats, 0.6),
     }[kind])
-    for polished, plain in zip(maximize_batch(f, 3, cfg, bad), maximize_batch(f, 3, cfg)):
+    recording, calls = _recording(bad, 3)
+    rounds = []  # the model calls made before each call of f
+
+    def counting(z):
+        rounds.append(len(calls))
+        return f(z)
+
+    results = maximize_batch(counting, 3, cfg, recording)
+    # the first polish's trials, then those of the polish after the rounds
+    first = np.bincount([i for rows in calls[1 : rounds[1]] for i in rows], minlength=3)
+    again = np.bincount([i for rows in calls[rounds[-1] + 1 :] for i in rows], minlength=3)
+    assert list(first) == [trials] * 3
+    for polished, plain, tried in zip(results, maximize_batch(f, 3, cfg), again):
         assert polished.value == plain.value
         assert np.array_equal(polished.axis, plain.axis)
-        assert polished.evaluations == plain.evaluations + trials
+        assert polished.evaluations == plain.evaluations + trials + tried
         assert (polished.refine_rounds, polished.newton_steps) == (40, 0)
         assert np.isnan(polished.hessian_max_eig)
 
@@ -529,9 +600,9 @@ def test_cap_rounds_evaluate_the_uncertified_rows_only():
 
     cfg = SphereOptConfig()
     results = maximize_batch(recording, 6, cfg, _float_rows(partly_undefined))
-    # the lattice pass takes every row (in chunks of 8192 // 6 = 1365
-    # columns), each cap round the open rows alone
-    assert calls == [((6, 1365, 3), None), ((6, 635, 3), None)] + [((2, 64, 3), open_rows)] * 40
+    # the lattice pass takes every row (in one chunk: 6 x 500 axes are
+    # within the 8192-axis budget), each cap round the open rows alone
+    assert calls == [((6, 500, 3), None)] + [((2, 64, 3), open_rows)] * 40
     polished, plain = maximize_batch(f, 6, cfg, _float_rows(model)), maximize_batch(f, 6, cfg)
     for i, res in enumerate(results):
         expected = plain[i] if i in open_rows else polished[i]
@@ -556,6 +627,133 @@ def test_polish_hands_the_model_float_rows(hemisphere):
         seen.append(len(z))
         return _float_rows(model)(z, pairs, *rows)
 
-    results = maximize_batch(f, 6, SphereOptConfig(hemisphere=hemisphere), checking)
+    cfg = SphereOptConfig(hemisphere=hemisphere)
+    results = maximize_batch(f, 6, cfg, checking)
     assert all(res.newton_steps >= 1 for res in results)
-    assert seen[0] == 6 and len(seen) == 1 + max(res.newton_steps for res in results)
+    # the six incumbents and the scan's extra rows, then one call per trial
+    # round, each on the rows still stepping
+    assert seen[0] == 6 + len(_scan_reference(f, 6, cfg)[0])
+    assert seen[1:] == sorted(seen[1:], reverse=True) and len(seen) <= 5
+    if hemisphere:
+        assert len(seen) == 1 + max(res.newton_steps for res in results)
+
+
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_neighbour_table_holds_the_eight_nearest_points(hemisphere):
+    table = _neighbours(500, hemisphere)
+    assert table.shape == (500, 8) and not table.flags.writeable
+    assert _neighbours(500, hemisphere) is table  # built once
+    grid = fibonacci_grid(500, full_sphere=not hemisphere)
+    near = grid @ grid.T
+    if hemisphere:
+        near = np.abs(near)
+    np.fill_diagonal(near, -np.inf)
+    expected = np.argsort(-near, axis=1, kind="stable")[:, :8]
+    assert np.array_equal(np.sort(table, axis=1), np.sort(expected, axis=1))
+    # a lattice of at most 9 points: every other point is a neighbour
+    assert np.array_equal(np.sort(_neighbours(3, hemisphere), axis=1), [[1, 2], [0, 2], [0, 1]])
+    assert _neighbours(1, hemisphere).shape == (1, 0)
+
+
+def test_basin_scan_keeps_strict_maxima_in_the_window_four_per_row():
+    grid = fibonacci_grid(500)
+    table = _neighbours(500, True)
+    # isolated lattice points, each far from the others, over a floor of 0
+    spots = [0]
+    for j in range(500):
+        if len(spots) < 9 and np.abs(grid[spots] @ grid[j]).max() < 0.9:
+            spots.append(j)
+    best, inside, low, outside, flat = spots[0], spots[1:6], spots[6], spots[7], spots[8]
+    values = np.zeros((3, 500))
+    values[0, best] = 1.0
+    # five strict maxima in the window, the two lowest tied: the four highest
+    # are kept, the lower index of the tie
+    for j, v in zip(inside, [1.0 - 1e-4, 1.0 - 2e-4, 1.0 - 3e-4, 1.0 - 4e-4, 1.0 - 4e-4]):
+        values[0, j] = v
+    values[0, outside] = 1.0 - 2e-3  # outside the 1e-3 window
+    # a plateau of two points, each a neighbour of the other, is no strict
+    # maximum, nor is a point above its neighbours by rounding alone
+    mate = next(j for j in table[flat] if flat in table[j])
+    values[0, [flat, mate]] = 1.0 - 1e-4
+    values[1] = 0.5
+    values[1, low] = 0.5 + 1e-13
+    values[1, best] = 1.0
+    # an incumbent's tie elsewhere is a candidate of its own; NaN never is
+    values[2, [best, low]] = 1.0
+    values[2, outside] = np.nan
+    first = np.nanargmax(values, axis=1)
+    owners, columns = _basin_scan(values, values[[0, 1, 2], first], first, table)
+    kept = sorted(inside[:4], key=lambda j: (-values[0, j], j))
+    assert (owners, columns) == ([0] * 4 + [2], kept + [low])
+    assert (owners, columns) == _scan_rule(np.nan_to_num(values, nan=-1.0), grid, True)
+
+
+@pytest.mark.parametrize("hemisphere", [False, True])
+def test_basin_scan_matches_the_brute_force_rule(hemisphere):
+    # the highest of 16 random bumps of nearly equal heights: several
+    # competitive maxima per row
+    rng = np.random.default_rng(5)
+    grid = fibonacci_grid(500, full_sphere=not hemisphere)
+    centres = rng.normal(size=(40, 16, 3))
+    centres /= np.linalg.norm(centres, axis=2)[:, :, None]
+    cos = np.einsum("rki,gi->rkg", centres, grid)
+    if hemisphere:
+        cos = np.abs(cos)
+    heights = 1.0 + 1e-4 * rng.uniform(size=(40, 16, 1))
+    values = (heights * np.exp(2.0 * (cos - 1.0))).max(axis=1)
+    first = values.argmax(axis=1)
+    owners, columns = _basin_scan(
+        values, values[np.arange(40), first], first, _neighbours(500, hemisphere)
+    )
+    assert (owners, columns) == _scan_rule(values, grid, hemisphere)
+    assert len(owners) > 40 and max(np.bincount(owners)) == 4
+
+
+def test_extra_rows_repeat_their_search_index_and_count_their_trials():
+    # whole-sphere quadratic forms: a form's antipodal maximum is an extra
+    # polish row of its search, passed to the model under that search's index
+    mats, f, model = _quadratic_batch(6, 127)
+    cfg = SphereOptConfig(grid_points=2000)
+    recording, calls = _recording(_float_rows(model), 6)
+    results = maximize_batch(f, 6, cfg, recording)
+    owners = _scan_reference(f, 6, cfg)[0]
+    assert owners == [2, 5]
+    assert calls[0] == [0, 1, 2, 3, 4, 5, 2, 5]
+    assert any(rows.count(2) == 2 for rows in calls[1:])  # an index twice in one call
+    trials = np.bincount([i for rows in calls[1:] for i in rows], minlength=6)
+    for m, res, tried in zip(mats, results, trials):
+        assert res.evaluations == cfg.grid_points + tried
+        assert res.refine_rounds == 0 and res.hessian_max_eig < 0.0
+        assert abs(res.value - np.linalg.eigvalsh(m)[-1]) <= 4e-15
+    assert trials[2] > results[2].newton_steps and trials[5] > results[5].newton_steps
+
+
+def test_polish_runs_again_after_the_cap_rounds():
+    # derivatives undefined until a cap round has run: the first polish
+    # cannot certify, the rounds run, and a polish from their incumbent
+    # (three rounds leave it about 0.06 rad from the maximum) certifies
+    mats, f, model = _quadratic_batch(3, 131)
+    cfg = SphereOptConfig(hemisphere=True, refine_rounds=3)
+    events = []
+
+    def recording_f(z, rows=None):
+        events.append("f")
+        return f(z) if rows is None else f(z, rows)
+
+    def late(z, basis, rows=slice(None)):
+        value, grad, hess = model(z, basis, rows)
+        events.append("model")
+        if events.count("f") == 1:  # the lattice pass alone
+            grad[:], hess[:] = np.nan, np.nan
+        return value, grad, hess
+
+    results = maximize_batch(recording_f, 3, cfg, _float_rows(late))
+    polish_calls = len(events) - 1 - 1 - 3
+    assert events == ["f", "model"] + ["f"] * 3 + ["model"] * polish_calls
+    plain = maximize_batch(f, 3, cfg)
+    for m, res, before in zip(mats, results, plain):
+        assert res.refine_rounds == 3 and res.newton_steps >= 1
+        assert res.hessian_max_eig < 0.0 and res.gradient_norm <= 1e-10
+        assert res.value > before.value
+        assert abs(res.value - np.linalg.eigvalsh(m)[-1]) <= 4e-15
+        assert res.evaluations == before.evaluations + res.newton_steps
